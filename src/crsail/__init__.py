@@ -12,6 +12,7 @@ from crsail.exceptions import (
     ConfigurationError,
     InfeasibleCalibrationError,
     InsufficientDataError,
+    InvariantError,
     NumericalFailureError,
 )
 from crsail.dataset import ExpertDataset, Standardizer
@@ -27,7 +28,7 @@ from crsail.envs import (
     make_expert,
 )
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, loss_and_grad, update
-from crsail.novelty import NoveltyConfig, NoveltyIndex, rebuild_index, score_batch, score_sK
+from crsail.novelty import NoveltyConfig, score_batch, score_sK
 from crsail.conformal import (
     CalibratedThreshold,
     CalibrationSet,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from crsail.harness import (
     ExperimentConfig,
@@ -19,16 +20,12 @@ from crsail.harness import (
 OUTPUT_ROOT_ENV = "CRSAIL_OUTPUT_ROOT"
 
 
-def _apply_output_root(config: ExperimentConfig) -> ExperimentConfig:
+def _load_config(args) -> ExperimentConfig:
+    config = ExperimentConfig.from_file(args.config, overrides=args.set or [])
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not os.path.isabs(config.output_dir):
         config.output_dir = os.path.join(root, config.output_dir)
     return config
-
-
-def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config, overrides=args.set or [])
-    return _apply_output_root(config)
 
 
 def _cmd_run(args) -> int:
@@ -56,16 +53,12 @@ def _cmd_sweep(args) -> int:
     any_failed = False
     total = 0
     for val in values:
-        import copy
-
-        sub = copy.deepcopy(config)
-        sub.output_dir = os.path.join(base_outdir, f"{name}_{val}")
-        if name == "alpha":
-            sub.strategy_params["alpha"] = float(val)
-        elif name == "k":
-            sub.strategy_params["k"] = int(val)
+        if name == "m":
+            change = {"m_values": [int(val)]}
         else:
-            sub.m_values = [int(val)]
+            cast = float if name == "alpha" else int
+            change = {"strategy_params": {**config.strategy_params, name: cast(val)}}
+        sub = replace(config, output_dir=os.path.join(base_outdir, f"{name}_{val}"), **change)
         if args.print_config:
             print(sub.resolved_text())
             continue
@@ -86,13 +79,14 @@ def _collect_records(directory):
         sub = os.path.join(directory, name)
         if os.path.isdir(sub):
             records.extend(load_records(sub))
+    if not records:
+        print(f"no run records found in {directory}", file=sys.stderr)
     return records
 
 
 def _cmd_summarize(args) -> int:
     records = _collect_records(args.directory)
     if not records:
-        print(f"no run records found in {args.directory}", file=sys.stderr)
         return 1
     rows = summarize(records)
     write_summary_csv(rows, os.path.join(args.directory, "summary.csv"))
@@ -103,7 +97,6 @@ def _cmd_summarize(args) -> int:
 def _cmd_plotdata(args) -> int:
     records = _collect_records(args.directory)
     if not records:
-        print(f"no run records found in {args.directory}", file=sys.stderr)
         return 1
     outdir = args.out or os.path.join(args.directory, "plotdata")
     written = emit_plot_data(records, outdir)

@@ -40,9 +40,6 @@ class CalibratedThreshold:
     m: int
     n_cal: int
 
-    def as_dict(self) -> dict:
-        return {"radius": self.radius, "alpha": self.alpha, "m": self.m, "n_cal": self.n_cal}
-
 
 def collect_calibration(env, policy, m_cal: int, seed) -> CalibrationSet:
     """Visited non-final states of m_cal seeded rollouts; no expert labels."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crsail.exceptions import ConfigurationError
+from crsail.exceptions import ConfigurationError, NumericalFailureError
 
 
 @dataclass
@@ -23,10 +23,6 @@ class Standardizer:
         std = states.std(axis=0)
         std = np.where(std < std_floor, 1.0, std)
         return cls(mean=mean, std=std)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Standardizer":
-        return cls(mean=np.zeros(dim), std=np.ones(dim))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
@@ -63,13 +59,23 @@ class ExpertDataset:
         return len(self.states)
 
     def append(self, states, actions) -> None:
-        """Multiset union with a batch of labeled pairs (in place)."""
+        """Multiset union with a batch of labeled pairs (in place).
+
+        Non-finite labels are rejected here, where they enter, so a bad
+        expert is not later mistaken for a failing policy.
+        """
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
         if len(states) == 0:
             return
         if states.shape[1] != self.state_dim or actions.shape[1] != self.action_dim:
             raise ConfigurationError("appended pairs have mismatched dimensions")
+        bad = np.flatnonzero(~np.isfinite(actions).all(axis=1))
+        if len(bad):
+            j = bad[0]
+            raise NumericalFailureError(
+                f"non-finite expert label {actions[j]} for state {states[j]} "
+                f"(row {len(self) + j} of the dataset)")
         self.states = np.concatenate([self.states, states])
         self.actions = np.concatenate([self.actions, actions])
 

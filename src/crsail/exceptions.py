@@ -19,3 +19,7 @@ class InsufficientDataError(ValueError):
 
 class InfeasibleCalibrationError(ValueError):
     """The requested quantile index exceeds the calibration sample size."""
+
+
+class InvariantError(RuntimeError):
+    """Internal bookkeeping disagrees with itself; this is a bug, not bad input."""

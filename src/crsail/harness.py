@@ -1,6 +1,9 @@
 """Configuration-driven experiment runner.
 
 Config files are flat INI-style key=value text with one section per module.
+The sections, keys and defaults are the dataclass fields: `ExperimentConfig`
+for [experiment], [conformal] and [budget]; `StrategyConfig` plus `alpha` for
+[strategy]; `TrainConfig` for [train]; [env] is passed to the environment.
 Every run embeds its fully resolved config snapshot, so any output is
 reproducible from its own header.
 """
@@ -11,8 +14,8 @@ import configparser
 import math
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -22,47 +25,11 @@ from crsail.envs import make_env, make_expert
 from crsail.exceptions import ConfigurationError
 from crsail.policy import TrainConfig, behavioral_cloning
 from crsail.strategies import StrategyConfig
-from crsail.trainer import Budget, RunRecord, build_initial_dataset, train
+from crsail.trainer import Budget, RunRecord, build_initial_dataset, train, write_csv
 
-DEFAULT_CONFIG = {
-    "experiment": {
-        "env": "",
-        "strategy": "",
-        "seeds": "0,1,2,3,4",
-        "m_values": "250,500,1000,2000",
-        "output_dir": "runs",
-        "workers": "1",
-        "eval_episodes": "20",
-    },
-    "env": {},
-    "strategy": {
-        "alpha": "0.93",
-        "k": "5",
-        "rate": "0.5",
-        "tau": "0.1",
-        "tau_doubt": "0.01",
-        "ensemble_size": "5",
-        "backend": "brute",
-        "standardize": "true",
-        "radius": "",
-    },
-    "train": {
-        "learning_rate": "0.01",
-        "batch_size": "64",
-        "bc_epochs": "50",
-        "update_epochs": "10",
-        "init_scale": "0.1",
-        "retrain_from_scratch": "false",
-    },
-    "conformal": {
-        "m_cal": "30",
-        "recalibrate_every": "0",
-    },
-    "budget": {
-        "max_steps": "10000",
-        "max_queries": "",
-    },
-}
+ALPHA = 0.93  # nominal query rate when [strategy] alpha is not set
+HARNESS_OWNED = ("kind", "seed", "radius")  # set per run, never config keys
+GRID_ONLY = ("seeds", "m_values", "output_dir", "workers")  # not part of a run's snapshot
 
 
 def _convert(text: str):
@@ -78,69 +45,96 @@ def _convert(text: str):
     return text
 
 
+def _parse(kind: str, text: str):
+    """An [experiment], [conformal] or [budget] value, by its field's type."""
+    text = text.strip()
+    if kind == "list[int]":
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    if kind == "int | None":
+        return int(text) if text else None
+    return int(text) if kind == "int" else text
+
+
+def _format(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return "" if value is None else str(value)
+
+
+def _keys(cls) -> list[str]:
+    return [f.name for f in fields(cls) if f.name not in HARNESS_OWNED]
+
+
+def _values(obj) -> dict:
+    return {name: getattr(obj, name) for name in _keys(type(obj))}
+
+
+def _section(name: str, **kwargs):
+    return field(metadata={"section": name}, **kwargs)
+
+
 @dataclass
 class ExperimentConfig:
-    env: str
-    strategy: str
-    seeds: list[int]
-    m_values: list[int]
-    output_dir: str
+    """One (M, seed) grid. Scalar fields are keys of their section (default
+    [experiment]); each dict field holds a whole section. The strategy and
+    train parameters are resolved against their dataclass defaults."""
+
+    env: str = ""
+    strategy: str = ""
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
+    m_values: list[int] = field(default_factory=lambda: [250, 500, 1000, 2000])
+    output_dir: str = "runs"
     workers: int = 1
     eval_episodes: int = 20
-    env_overrides: dict = field(default_factory=dict)
-    strategy_params: dict = field(default_factory=dict)
-    train_params: dict = field(default_factory=dict)
-    m_cal: int = 30
-    recalibrate_every: int = 0
-    max_steps: int | None = 10000
-    max_queries: int | None = None
+    env_overrides: dict = _section("env", default_factory=dict)
+    strategy_params: dict = _section("strategy", default_factory=dict)
+    train_params: dict = _section("train", default_factory=dict)
+    m_cal: int = _section("conformal", default=30)
+    recalibrate_every: int = _section("conformal", default=0)
+    max_steps: int | None = _section("budget", default=10000)
+    max_queries: int | None = _section("budget", default=None)
 
     def __post_init__(self):
         if not self.env:
             raise ConfigurationError("config must set experiment.env")
         if not self.strategy:
             raise ConfigurationError("config must set experiment.strategy")
+        unknown = [f"strategy.{key}" for key in self.strategy_params
+                   if key not in ("alpha", *_keys(StrategyConfig))]
+        unknown += [f"train.{key}" for key in self.train_params if key not in _keys(TrainConfig)]
+        if unknown:
+            raise ConfigurationError(f"unknown config key {unknown[0]}")
         # fail fast on invalid kind/params before any run starts
-        self.make_strategy_config()
-        self.make_train_config(0)
+        self.strategy_params = {"alpha": self.strategy_params.get("alpha", ALPHA),
+                                **_values(self.make_strategy_config())}
+        self.train_params = _values(self.make_train_config(0))
         Budget(max_queries=self.max_queries, max_steps=self.max_steps)
 
     @classmethod
     def from_parser(cls, parser: configparser.ConfigParser) -> "ExperimentConfig":
-        merged = {s: dict(v) for s, v in DEFAULT_CONFIG.items()}
+        kwargs: dict = {}
+        layout = cls._layout()
         for section in parser.sections():
-            if section not in merged:
+            if section not in layout:
                 raise ConfigurationError(f"unknown config section [{section}]")
+            home = {f.name: f for f in layout[section]}
             for key, val in parser.items(section):
-                if section != "env" and key not in merged[section]:
+                if layout[section][0].type == "dict":
+                    if val.strip() != "":  # an empty value keeps the default
+                        kwargs.setdefault(layout[section][0].name, {})[key] = _convert(val)
+                elif key in home:
+                    kwargs[key] = _parse(home[key].type, val)
+                else:
                     raise ConfigurationError(f"unknown config key {section}.{key}")
-                merged[section][key] = val
-        exp = merged["experiment"]
-        strat = {k: _convert(v) for k, v in merged["strategy"].items() if v.strip() != ""}
-        budget = merged["budget"]
+        return cls(**kwargs)
 
-        def int_list(text):
-            return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
-
-        def opt_int(text):
-            return int(text) if str(text).strip() != "" else None
-
-        return cls(
-            env=exp["env"].strip(),
-            strategy=exp["strategy"].strip(),
-            seeds=int_list(exp["seeds"]),
-            m_values=int_list(exp["m_values"]),
-            output_dir=exp["output_dir"].strip(),
-            workers=int(exp["workers"]),
-            eval_episodes=int(exp["eval_episodes"]),
-            env_overrides={k: _convert(v) for k, v in merged["env"].items()},
-            strategy_params=strat,
-            train_params={k: _convert(v) for k, v in merged["train"].items()},
-            m_cal=int(merged["conformal"]["m_cal"]),
-            recalibrate_every=int(merged["conformal"]["recalibrate_every"]),
-            max_steps=opt_int(budget["max_steps"]),
-            max_queries=opt_int(budget["max_queries"]),
-        )
+    @classmethod
+    def _layout(cls) -> dict[str, list]:
+        """INI section -> the fields it holds; a dict field holds a whole section."""
+        layout: dict[str, list] = {}
+        for f in fields(cls):
+            layout.setdefault(f.metadata.get("section", "experiment"), []).append(f)
+        return layout
 
     @classmethod
     def from_file(cls, path, overrides: list[str] | None = None) -> "ExperimentConfig":
@@ -159,8 +153,7 @@ class ExperimentConfig:
         return cls.from_parser(parser)
 
     def make_strategy_config(self) -> StrategyConfig:
-        params = dict(self.strategy_params)
-        params.pop("alpha", None)
+        params = {k: v for k, v in self.strategy_params.items() if k != "alpha"}
         return StrategyConfig(kind=self.strategy, **params)
 
     def make_train_config(self, seed: int) -> TrainConfig:
@@ -168,45 +161,23 @@ class ExperimentConfig:
 
     @property
     def alpha(self) -> float:
-        return float(self.strategy_params.get("alpha", 0.93))
+        return float(self.strategy_params.get("alpha", ALPHA))
 
     def resolved_text(self) -> str:
         """Fully resolved config in the same INI format it was read from."""
         lines = []
-        sections = {
-            "experiment": {
-                "env": self.env, "strategy": self.strategy,
-                "seeds": ",".join(map(str, self.seeds)),
-                "m_values": ",".join(map(str, self.m_values)),
-                "output_dir": self.output_dir, "workers": self.workers,
-                "eval_episodes": self.eval_episodes,
-            },
-            "env": self.env_overrides,
-            "strategy": {"alpha": self.alpha, **self.strategy_params},
-            "train": self.train_params,
-            "conformal": {"m_cal": self.m_cal, "recalibrate_every": self.recalibrate_every},
-            "budget": {
-                "max_steps": "" if self.max_steps is None else self.max_steps,
-                "max_queries": "" if self.max_queries is None else self.max_queries,
-            },
-        }
-        for name, body in sections.items():
-            lines.append(f"[{name}]")
-            for key, val in body.items():
-                lines.append(f"{key} = {val}")
-            lines.append("")
+        for section, group in self._layout().items():
+            if group[0].type == "dict":
+                body = getattr(self, group[0].name)
+            else:
+                body = {f.name: getattr(self, f.name) for f in group}
+            lines += [f"[{section}]", *(f"{k} = {_format(v)}" for k, v in body.items()), ""]
         return "\n".join(lines)
 
     def snapshot(self, m: int, seed: int) -> dict:
-        return {
-            "env": self.env, "env_overrides": dict(self.env_overrides),
-            "strategy": self.strategy, "strategy_params": dict(self.strategy_params),
-            "alpha": self.alpha, "train_params": dict(self.train_params),
-            "m": m, "seed": seed, "m_cal": self.m_cal,
-            "recalibrate_every": self.recalibrate_every,
-            "max_steps": self.max_steps, "max_queries": self.max_queries,
-            "eval_episodes": self.eval_episodes,
-        }
+        """The per-run part of the config, as embedded in its run record."""
+        snap = {k: v for k, v in asdict(self).items() if k not in GRID_ONLY}
+        return {**snap, "alpha": self.alpha, "m": m, "seed": seed}
 
 
 def run_basename(strategy: str, m: int, seed: int) -> str:
@@ -250,22 +221,32 @@ def _run_and_persist(config: ExperimentConfig, m: int, seed: int) -> RunRecord:
     return record
 
 
+class _InProcess(Executor):
+    """Runs each job when it is submitted, in this process."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 def run(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]]:
-    """Execute the (M, seed) grid; returns completed records and failure notes."""
+    """Execute the (M, seed) grid; returns completed records and failure notes.
+
+    A failed run leaves a note with its traceback; a worker's traceback
+    arrives as the exception's cause, which `format_exc` prints too.
+    """
     jobs = [(m, seed) for m in config.m_values for seed in config.seeds]
     records, failures = [], []
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {pool.submit(_run_and_persist, config, m, s): (m, s) for m, s in jobs}
-            for fut, (m, s) in futures.items():
-                try:
-                    records.append(fut.result())
-                except Exception as exc:
-                    failures.append(f"M={m} seed={s}: {exc}")
-    else:
-        for m, s in jobs:
+    pool = ProcessPoolExecutor(config.workers) if config.workers > 1 else _InProcess()
+    with pool:
+        futures = [pool.submit(_run_and_persist, config, m, s) for m, s in jobs]
+        for (m, s), future in zip(jobs, futures):
             try:
-                records.append(_run_and_persist(config, m, s))
+                records.append(future.result())
             except Exception as exc:
                 failures.append(f"M={m} seed={s}: {exc}\n{traceback.format_exc()}")
     return records, failures
@@ -288,20 +269,24 @@ def _mean_std(values) -> tuple[float, float]:
     return mean, std
 
 
+def _groups(records: list[RunRecord]) -> list[tuple[tuple, list[RunRecord]]]:
+    """Records grouped by (method, M), in sorted order."""
+    if not records:
+        raise ConfigurationError("no run records")
+    groups: dict[tuple, list[RunRecord]] = {}
+    for rec in records:
+        key = (rec.config.get("strategy", "?"), rec.config.get("m", 0))
+        groups.setdefault(key, []).append(rec)
+    return sorted(groups.items())
+
+
 def summarize(records: list[RunRecord]) -> list[dict]:
     """Per (method, M): convergence rate, queries-to-expert, total queries.
 
     Queries-to-expert statistics are computed over converged runs only.
     """
-    if not records:
-        raise ConfigurationError("no records to summarize")
-    groups: dict[tuple, list[RunRecord]] = {}
-    for rec in records:
-        key = (rec.config.get("strategy", "?"), rec.config.get("m", 0))
-        groups.setdefault(key, []).append(rec)
     rows = []
-    for (method, m) in sorted(groups):
-        recs = groups[(method, m)]
+    for (method, m), recs in _groups(records):
         converged = [r for r in recs if r.summary.get("converged")]
         qte_mean, qte_std = _mean_std([r.summary["queries_to_expert"] for r in converged])
         tot_mean, tot_std = _mean_std([r.summary["total_queries"] for r in recs])
@@ -315,13 +300,7 @@ def summarize(records: list[RunRecord]) -> list[dict]:
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
-    cols = list(rows[0].keys())
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
-    os.replace(tmp, path)
+    write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
 
 
 def format_summary_text(rows: list[dict]) -> str:
@@ -338,30 +317,16 @@ def format_summary_text(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
-    os.replace(tmp, path)
-
-
 def emit_plot_data(records: list[RunRecord], outdir) -> list[str]:
     """Plot-ready CSVs: reward vs queries, queries vs steps, queries vs length.
 
     One file triple per (method, M) group, aggregated across seeds with mean
     and std columns.
     """
-    if not records:
-        raise ConfigurationError("no records to emit plot data from")
+    groups = _groups(records)
     os.makedirs(outdir, exist_ok=True)
-    groups: dict[tuple, list[RunRecord]] = {}
-    for rec in records:
-        key = (rec.config.get("strategy", "?"), rec.config.get("m", 0))
-        groups.setdefault(key, []).append(rec)
     written = []
-    for (method, m), recs in sorted(groups.items()):
+    for (method, m), recs in groups:
         tag = f"{method}_M{m}"
         n_eps = max(len(r.episodes) for r in recs)
 
@@ -376,25 +341,24 @@ def emit_plot_data(records: list[RunRecord], outdir) -> list[str]:
         s = stats(lambda e: e.steps_cum)
         ev = stats(lambda e: e.eval_mean)
 
-        path = os.path.join(outdir, f"reward_vs_queries_{tag}.csv")
-        _write_csv(path, ["episode", "queries_cum_mean", "queries_cum_std",
-                          "eval_mean_mean", "eval_mean_std"],
-                   [(j, *q[j], *ev[j]) for j in range(n_eps)])
-        written.append(path)
-
-        path = os.path.join(outdir, f"queries_vs_steps_{tag}.csv")
-        _write_csv(path, ["episode", "steps_cum_mean", "steps_cum_std",
-                          "queries_cum_mean", "queries_cum_std"],
-                   [(j, *s[j], *q[j]) for j in range(n_eps)])
-        written.append(path)
-
         by_length: dict[int, list[int]] = {}
         for rec in recs:
             for e in rec.episodes:
                 by_length.setdefault(e.length, []).append(e.n_queries)
-        path = os.path.join(outdir, f"queries_per_episode_vs_length_{tag}.csv")
-        _write_csv(path, ["episode_length", "queries_mean", "queries_std", "count"],
-                   [(length, *_mean_std(vals), len(vals))
-                    for length, vals in sorted(by_length.items())])
-        written.append(path)
+        tables = {
+            "reward_vs_queries": (
+                ["episode", "queries_cum_mean", "queries_cum_std", "eval_mean_mean",
+                 "eval_mean_std"], [(j, *q[j], *ev[j]) for j in range(n_eps)]),
+            "queries_vs_steps": (
+                ["episode", "steps_cum_mean", "steps_cum_std", "queries_cum_mean",
+                 "queries_cum_std"], [(j, *s[j], *q[j]) for j in range(n_eps)]),
+            "queries_per_episode_vs_length": (
+                ["episode_length", "queries_mean", "queries_std", "count"],
+                [(length, *_mean_std(vals), len(vals))
+                 for length, vals in sorted(by_length.items())]),
+        }
+        for name, (header, rows) in tables.items():
+            path = os.path.join(outdir, f"{name}_{tag}.csv")
+            write_csv(path, header, rows)
+            written.append(path)
     return written

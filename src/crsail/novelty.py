@@ -32,71 +32,33 @@ class NoveltyConfig:
             raise ConfigurationError(f"unknown backend {self.backend!r}")
 
 
-def _prepared_points(dataset: ExpertDataset, config: NoveltyConfig) -> np.ndarray:
-    if config.standardize and dataset.standardizer is not None:
-        return dataset.standardizer.transform(dataset.states)
-    return np.asarray(dataset.states, dtype=np.float64)
-
-
-class NoveltyIndex:
-    """Immutable snapshot of the dataset's state projection for K-NN queries.
-
-    The version counter equals the dataset size at build time, so staleness
-    after a dataset append is detectable.
-    """
-
-    def __init__(self, dataset: ExpertDataset, config: NoveltyConfig):
-        if len(dataset) == 0:
-            raise ConfigurationError("cannot index an empty dataset")
-        self.config = config
-        self.version = len(dataset)
-        self._standardizer = dataset.standardizer if config.standardize else None
-        self._points = _prepared_points(dataset, config).copy()
-        self._tree = cKDTree(self._points) if config.backend == "kdtree" else None
-
-    def _transform(self, states: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if self._standardizer is not None:
-            states = self._standardizer.transform(states)
-        return states
-
-    def score_batch(self, states) -> np.ndarray:
-        states = np.asarray(states, dtype=np.float64)
-        if states.size == 0:
-            return np.zeros(0)
-        q = self._transform(states)
-        k = self.config.k
-        if k > len(self._points):
-            raise InsufficientDataError(
-                f"K={k} exceeds dataset size {len(self._points)}"
-            )
-        if self._tree is not None:
-            return self._tree.query(q, k=[k])[0][:, 0]
-        out = np.empty(len(q))
-        for start in range(0, len(q), _BATCH):
-            block = q[start:start + _BATCH]
-            sq = ((block[:, None, :] - self._points[None, :, :]) ** 2).sum(axis=-1)
-            out[start:start + len(block)] = np.sqrt(
-                np.partition(sq, k - 1, axis=1)[:, k - 1]
-            )
-        return out
-
-    def score(self, state) -> float:
-        return float(self.score_batch(np.asarray(state)[None, :])[0])
-
-
-def rebuild_index(dataset: ExpertDataset, config: NoveltyConfig) -> NoveltyIndex:
-    return NoveltyIndex(dataset, config)
-
-
-def score_sK(state, dataset: ExpertDataset, config: NoveltyConfig) -> float:
-    """Distance from the state to its K-th nearest neighbor in the dataset."""
-    return NoveltyIndex(dataset, config).score(state)
-
-
 def score_batch(states, dataset: ExpertDataset, config: NoveltyConfig) -> np.ndarray:
-    """Elementwise score_sK over a batch of states (empty batch allowed)."""
+    """Distance from each state to its K-th nearest neighbor in the dataset.
+
+    An empty batch gives an empty result. The dataset's points are projected
+    afresh on every call, so the scores always reflect its current contents.
+    """
     states = np.asarray(states, dtype=np.float64)
     if states.size == 0:
         return np.zeros(0)
-    return NoveltyIndex(dataset, config).score_batch(states)
+    k = config.k
+    if k > len(dataset):
+        raise InsufficientDataError(f"K={k} exceeds dataset size {len(dataset)}")
+    points = np.asarray(dataset.states, dtype=np.float64)
+    q = np.atleast_2d(states)
+    if config.standardize and dataset.standardizer is not None:
+        points = dataset.standardizer.transform(points)
+        q = dataset.standardizer.transform(q)
+    if config.backend == "kdtree":
+        return cKDTree(points).query(q, k=[k])[0][:, 0]
+    out = np.empty(len(q))
+    for start in range(0, len(q), _BATCH):
+        block = q[start:start + _BATCH]
+        sq = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+        out[start:start + len(block)] = np.sqrt(np.partition(sq, k - 1, axis=1)[:, k - 1])
+    return out
+
+
+def score_sK(state, dataset: ExpertDataset, config: NoveltyConfig) -> float:
+    """The paper's s_K: distance from one state to its K-th nearest neighbor."""
+    return float(score_batch(np.asarray(state)[None, :], dataset, config)[0])

@@ -14,6 +14,8 @@ import numpy as np
 from crsail.dataset import ExpertDataset, Standardizer
 from crsail.exceptions import ConfigurationError
 
+HIDDEN = 64  # hidden-layer width
+
 
 @dataclass
 class TrainConfig:
@@ -21,7 +23,6 @@ class TrainConfig:
     batch_size: int = 64
     bc_epochs: int = 50
     update_epochs: int = 10
-    hidden: int = 64
     init_scale: float = 0.1
     seed: int = 0
     retrain_from_scratch: bool = False
@@ -49,7 +50,7 @@ class MLPPolicy:
     def initialize(cls, state_dim: int, action_dim: int, config: TrainConfig,
                    rng: np.random.Generator,
                    standardizer: Standardizer | None = None) -> "MLPPolicy":
-        h = config.hidden
+        h = HIDDEN
         s = config.init_scale
         return cls(
             w1=s * rng.standard_normal((h, state_dim)),

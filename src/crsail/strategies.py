@@ -37,13 +37,13 @@ class QuerySet:
 class StrategyConfig:
     kind: str
     k: int = 5
-    radius: float | None = None  # calibrated threshold for crsail
     rate: float = 0.5  # random-rate inclusion probability
-    tau: float = 0.0  # fixed-threshold novelty cutoff
-    ensemble_size: int = 5
+    tau: float = 0.1  # fixed-threshold novelty cutoff
     tau_doubt: float = 0.01
-    standardize: bool = True
+    ensemble_size: int = 5
     backend: str = "brute"
+    standardize: bool = True
+    radius: float | None = None  # calibrated threshold for crsail
 
     def __post_init__(self):
         if self.kind not in KINDS:

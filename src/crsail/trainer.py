@@ -11,14 +11,14 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from crsail.conformal import CalibratedThreshold, calibrate_radius
 from crsail.core import evaluate_policy, rollout
 from crsail.dataset import ExpertDataset
-from crsail.exceptions import ConfigurationError
+from crsail.exceptions import ConfigurationError, InvariantError
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, update
 from crsail.strategies import StrategyConfig, label_queries, select_queries
 
@@ -26,6 +26,24 @@ CSV_COLUMNS = (
     "episode", "steps_cum", "queries_episode", "queries_cum",
     "eval_mean", "eval_std", "converged_flag",
 )
+
+
+def _atomic_write(path, write) -> None:
+    """Write through a temporary file and rename it, so no reader sees a partial file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as fh:
+        write(fh)
+    os.replace(tmp, path)
+
+
+def write_csv(path, header, rows) -> None:
+    """Atomic CSV; floats get 17 significant digits, so they read back exactly."""
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+    _atomic_write(path, write)
 
 
 @dataclass
@@ -78,29 +96,22 @@ class RunRecord:
     """Everything one training run produced, serializable to JSON + CSV."""
 
     config: dict
-    episodes: list[EpisodeMetrics] = field(default_factory=list)
     threshold: dict | None = None
     expert_mean: float | None = None
+    episodes: list[EpisodeMetrics] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     def compute_summary(self) -> dict:
         total_queries = sum(e.n_queries for e in self.episodes)
         total_steps = sum(e.length for e in self.episodes)
         best = max((e.eval_mean for e in self.episodes), default=None)
-        qte = None
-        converged = False
-        if self.expert_mean is not None:
-            for e in self.episodes:
-                if is_expert_level(e.eval_mean, self.expert_mean):
-                    qte = e.queries_cum
-                    converged = True
-                    break
+        qte = None if self.expert_mean is None else queries_to_expert(self, self.expert_mean)
         return {
             "episodes": len(self.episodes),
             "total_queries": total_queries,
             "total_steps": total_steps,
             "best_eval_mean": best,
-            "converged": converged,
+            "converged": qte is not None,
             "queries_to_expert": qte,
             "expert_mean": self.expert_mean,
         }
@@ -110,33 +121,17 @@ class RunRecord:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "threshold": self.threshold,
-            "expert_mean": self.expert_mean,
-            "episodes": [e.as_dict() for e in self.episodes],
-            "summary": self.summary,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        rec = cls(
-            config=data["config"],
-            episodes=[EpisodeMetrics(**e) for e in data["episodes"]],
-            threshold=data.get("threshold"),
-            expert_mean=data.get("expert_mean"),
-            summary=data.get("summary", {}),
-        )
+        rec = cls(**{**data, "episodes": [EpisodeMetrics(**e) for e in data["episodes"]]})
         if rec.summary and rec.summary != rec.compute_summary():
             raise ConfigurationError("stored summary does not match the episode series")
         return rec
 
     def save_json(self, path) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
+        _atomic_write(path, lambda fh: fh.write(json.dumps(self.to_dict(), indent=2) + "\n"))
 
     @classmethod
     def load_json(cls, path) -> "RunRecord":
@@ -144,16 +139,9 @@ class RunRecord:
             return cls.from_dict(json.load(fh))
 
     def save_csv(self, path) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for e in self.episodes:
-                writer.writerow([
-                    e.episode, e.steps_cum, e.n_queries, e.queries_cum,
-                    f"{e.eval_mean:.17g}", f"{e.eval_std:.17g}", e.converged_flag,
-                ])
-        os.replace(tmp, path)
+        write_csv(path, CSV_COLUMNS, [
+            (e.episode, e.steps_cum, e.n_queries, e.queries_cum, e.eval_mean, e.eval_std,
+             e.converged_flag) for e in self.episodes])
 
 
 def build_initial_dataset(env, expert, m: int, seed) -> ExpertDataset:
@@ -206,14 +194,14 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
     strat_rng = np.random.default_rng(strat_ss)
 
     if threshold is not None:
-        strategy = StrategyConfig(**{**strategy.__dict__, "radius": threshold.radius})
+        strategy = replace(strategy, radius=threshold.radius)
 
     dataset = dataset.copy()
     policy = policy.copy()
     initial_size = len(dataset)
     record = RunRecord(
         config=run_config or {},
-        threshold=threshold.as_dict() if threshold is not None else None,
+        threshold=asdict(threshold) if threshold is not None else None,
         expert_mean=expert_mean,
     )
 
@@ -232,7 +220,8 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
             dataset.append(q_states, q_actions)
             policy = update(policy, dataset, train_config, rng=update_rng)
         except Exception as exc:
-            raise type(exc)(f"iteration {i}: {exc}") from exc
+            exc.add_note(f"in training iteration {i}")
+            raise
         steps += traj.length
         queries += len(qs)
         eval_mean, eval_std = evaluate_policy(env, policy, eval_episodes, eval_ss.spawn(1)[0])
@@ -248,9 +237,11 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
                 env, policy, dataset, strategy.novelty_config(),
                 threshold.alpha, m_cal, recal_ss.spawn(1)[0],
             )
-            strategy = StrategyConfig(**{**strategy.__dict__, "radius": new_thr.radius})
+            strategy = replace(strategy, radius=new_thr.radius)
 
-    assert len(dataset) == initial_size + queries
+    if len(dataset) != initial_size + queries:
+        raise InvariantError(f"dataset holds {len(dataset)} pairs, expected "
+                             f"{initial_size} initial + {queries} queried")
     return policy, record.finalize()
 
 

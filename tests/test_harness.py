@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import os
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from crsail.cli import OUTPUT_ROOT_ENV, main
 from crsail.exceptions import ConfigurationError
 from crsail.harness import (
+    HARNESS_OWNED,
     ExperimentConfig,
     _convert,
     emit_plot_data,
@@ -16,6 +18,8 @@ from crsail.harness import (
     summarize,
     write_summary_csv,
 )
+from crsail.policy import TrainConfig
+from crsail.strategies import StrategyConfig
 
 MINIMAL = """\
 [experiment]
@@ -207,3 +211,78 @@ def test_output_root_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     assert main(["run", str(path)]) == 0
     assert os.path.isdir(tmp_path / "relative_runs")
+
+
+def _reparse(config):
+    parser = configparser.ConfigParser()
+    parser.read_string(config.resolved_text())
+    return ExperimentConfig.from_parser(parser)
+
+
+def test_resolved_text_round_trips_every_field(tmp_path):
+    config = ExperimentConfig(
+        env="pusher", strategy="fixed-threshold", seeds=[3, 1], m_values=[40, 80],
+        output_dir=str(tmp_path / "out"), workers=2, eval_episodes=7,
+        env_overrides={"dt": 0.05}, m_cal=11, recalibrate_every=4,
+        max_steps=None, max_queries=900,
+        strategy_params={"alpha": 0.8, "k": 3, "rate": 0.25, "tau": 0.4, "tau_doubt": 0.2,
+                         "ensemble_size": 4, "backend": "kdtree", "standardize": False},
+        train_params={"learning_rate": 0.02, "batch_size": 16, "bc_epochs": 9,
+                      "update_epochs": 3, "init_scale": 0.2, "retrain_from_scratch": True},
+    )
+    again = _reparse(config)
+    for f in dataclasses.fields(ExperimentConfig):
+        assert getattr(again, f.name) == getattr(config, f.name), f.name
+    assert again == config
+    # a config that sets nothing optional resolves to the dataclass defaults
+    bare = ExperimentConfig(env="pendulum", strategy="dagger")
+    assert _reparse(bare) == bare
+    assert bare.make_strategy_config() == StrategyConfig("dagger")
+    assert bare.make_train_config(5) == TrainConfig(seed=5)
+
+
+def _settable(cls):
+    return [f for f in dataclasses.fields(cls) if f.name not in HARNESS_OWNED]
+
+
+@pytest.mark.parametrize("section, cls", [("strategy", StrategyConfig), ("train", TrainConfig)])
+def test_every_dataclass_field_is_a_config_key(config_path, section, cls):
+    for f in _settable(cls):
+        default = f.default
+        value = not default if isinstance(default, bool) else default
+        config = ExperimentConfig.from_file(config_path, overrides=[f"{section}.{f.name}={value}"])
+        built = config.make_strategy_config() if cls is StrategyConfig \
+            else config.make_train_config(0)
+        assert getattr(built, f.name) == value, f.name
+
+
+@pytest.mark.parametrize("key", ["strategy.kind=dagger", "strategy.radius=1.0",
+                                 "train.seed=3", "train.hidden=32"])
+def test_harness_owned_and_removed_keys_are_rejected(config_path, key):
+    with pytest.raises(ConfigurationError, match="unknown config key"):
+        ExperimentConfig.from_file(config_path, overrides=[key])
+
+
+def test_ini_and_direct_configs_resolve_alike(config_path):
+    ini = ExperimentConfig.from_file(config_path, overrides=["experiment.strategy=fixed-threshold"])
+    direct = ExperimentConfig(env="pendulum", strategy="fixed-threshold",
+                              train_params={"bc_epochs": 5, "update_epochs": 2})
+    assert ini.make_strategy_config() == direct.make_strategy_config()
+    assert ini.make_strategy_config().tau == 0.1
+    assert ini.snapshot(100, 0)["strategy_params"] == direct.snapshot(100, 0)["strategy_params"]
+    assert direct.snapshot(100, 0)["train_params"] == {
+        f.name: getattr(direct.make_train_config(0), f.name) for f in _settable(TrainConfig)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_grid_notes_carry_traceback(tmp_path, workers):
+    config = ExperimentConfig(env="pendulum", strategy="dagger", seeds=[0, 1], m_values=[50],
+                              output_dir=str(tmp_path), workers=workers, max_steps=50,
+                              env_overrides={"dt": -1.0})
+    records, failures = run(config)
+    assert records == []
+    assert len(failures) == 2
+    for note, seed in zip(failures, [0, 1]):
+        assert note.startswith(f"M=50 seed={seed}: dt and u_max must be positive")
+        assert "Traceback (most recent call last)" in note
+        assert "make_env" in note

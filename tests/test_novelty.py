@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crsail.dataset import ExpertDataset, Standardizer
-from crsail.exceptions import InsufficientDataError
-from crsail.novelty import NoveltyConfig, rebuild_index, score_batch, score_sK
+from crsail.exceptions import InsufficientDataError, NumericalFailureError
+from crsail.novelty import NoveltyConfig, score_batch, score_sK
 
 RAW = NoveltyConfig(k=1, standardize=False)
 
@@ -73,22 +73,14 @@ def test_backend_equivalence_exact():
         assert np.array_equal(brute, tree)
 
 
-def test_index_rebuild_reflects_appends():
+def test_scores_reflect_appends():
     rng = np.random.default_rng(2)
     ds = ExpertDataset(rng.normal(size=(20, 2)), np.zeros((20, 1)))
+    cfg = NoveltyConfig(k=1, standardize=False)
     new_states = rng.normal(size=(5, 2))
+    assert np.all(score_batch(new_states, ds, cfg) > 0.0)
     ds.append(new_states, np.zeros((5, 1)))
-    index = rebuild_index(ds, NoveltyConfig(k=1, standardize=False))
-    assert index.version == 25
-    assert np.all(index.score_batch(new_states) == 0.0)
-
-
-def test_stale_snapshot_does_not_see_appends():
-    ds = dataset_1d([0.0, 1.0])
-    index = rebuild_index(ds, NoveltyConfig(k=1, standardize=False))
-    ds.append(np.array([[5.0]]), np.zeros((1, 1)))
-    assert index.score(np.array([5.0])) == 4.0
-    assert index.version == 2
+    assert np.all(score_batch(new_states, ds, cfg) == 0.0)
 
 
 def test_standardized_mode_uses_frozen_standardizer():
@@ -159,3 +151,11 @@ def test_dataset_round_trip_bit_exact(tmp_path):
     loaded = ExpertDataset.load(path)
     assert np.array_equal(loaded.states, ds.states)
     assert np.array_equal(loaded.actions, ds.actions)
+
+
+def test_append_rejects_non_finite_labels_naming_label_and_row():
+    ds = ExpertDataset(np.zeros((3, 2)), np.zeros((3, 1)))
+    states = np.array([[1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(NumericalFailureError, match=r"label \[inf\].*row 4"):
+        ds.append(states, np.array([[0.5], [np.inf]]))
+    assert len(ds) == 3  # nothing was appended

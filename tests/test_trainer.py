@@ -3,10 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+import crsail.trainer
 from crsail.conformal import calibrate_radius
 from crsail.core import evaluate_policy
 from crsail.envs import make_env, make_expert
-from crsail.exceptions import ConfigurationError
+from crsail.exceptions import ConfigurationError, InvariantError, NumericalFailureError
 from crsail.policy import TrainConfig, behavioral_cloning
 from crsail.strategies import StrategyConfig
 from crsail.trainer import (
@@ -215,3 +216,70 @@ def test_eval_uses_separate_stream_from_training():
                       eval_episodes=5)
     assert [e.queries_cum for e in r20.episodes] == [e.queries_cum for e in r5.episodes]
     assert [e.length for e in r20.episodes] == [e.length for e in r5.episodes]
+
+
+class LabelingError(Exception):
+    """An exception whose constructor needs more than a message."""
+
+    def __init__(self, state, reason):
+        super().__init__(f"{reason} at {state}")
+        self.state = state
+        self.reason = reason
+
+
+def _initial(env_kind="pendulum", m=100):
+    env = make_env(env_kind)
+    expert = make_expert(env)
+    dataset = build_initial_dataset(env, expert, m, 0)
+    return env, expert, dataset, behavioral_cloning(dataset, FAST)
+
+
+def test_failure_keeps_step_index_of_numerical_error():
+    env, expert, dataset, policy = _initial()
+    policy.w2[:] = np.nan
+    with pytest.raises(NumericalFailureError, match="iteration 0") as info:
+        train(env, expert, dataset, policy, StrategyConfig("dagger"),
+              Budget(max_steps=300), FAST, 0)
+    assert info.value.step_index == 0
+    assert "non-finite action at step 0" in str(info.value)
+
+
+def test_failure_keeps_type_and_attributes_of_any_exception():
+    class PickyExpert:
+        def act(self, state):
+            raise LabelingError(state, "expert refused")
+
+    env, _, dataset, policy = _initial()
+    with pytest.raises(LabelingError, match="iteration 0") as info:
+        train(env, PickyExpert(), dataset, policy, StrategyConfig("dagger"),
+              Budget(max_steps=300), FAST, 0)
+    assert info.value.reason == "expert refused"
+    assert info.value.state.shape == (2,)
+    assert info.value.__traceback__ is not None
+
+
+def test_non_finite_expert_label_is_blamed_on_the_expert():
+    class NaNExpert:
+        def act(self, state):
+            return np.array([np.nan])
+
+    env, _, dataset, policy = _initial()
+    with pytest.raises(NumericalFailureError, match="non-finite expert label") as info:
+        train(env, NaNExpert(), dataset, policy, StrategyConfig("dagger"),
+              Budget(max_steps=300), FAST, 0)
+    assert "non-finite action" not in str(info.value)
+    assert f"row {len(dataset)} " in str(info.value)
+
+
+def test_dataset_size_invariant_is_a_real_check(monkeypatch):
+    real = crsail.trainer.label_queries
+
+    def drops_one_label(expert, trajectory, queries):
+        states, actions = real(expert, trajectory, queries)
+        return states[1:], actions[1:]
+
+    monkeypatch.setattr(crsail.trainer, "label_queries", drops_one_label)
+    env, expert, dataset, policy = _initial()
+    with pytest.raises(InvariantError, match="dataset holds"):
+        train(env, expert, dataset, policy, StrategyConfig("dagger"),
+              Budget(max_steps=300), FAST, 0)
