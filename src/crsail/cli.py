@@ -7,6 +7,7 @@ import os
 import sys
 from dataclasses import replace
 
+from crsail.exceptions import ConfigurationError
 from crsail.harness import (
     ExperimentConfig,
     emit_plot_data,
@@ -142,8 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input (a ConfigurationError) is one line on stderr and exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"crsail {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from crsail.core import rollout
+from crsail.core import rollouts
 from crsail.dataset import ExpertDataset
 from crsail.exceptions import ConfigurationError, InfeasibleCalibrationError
 from crsail.novelty import NoveltyConfig, score_batch
@@ -43,17 +43,9 @@ class CalibratedThreshold:
 
 def collect_calibration(env, policy, m_cal: int, seed) -> CalibrationSet:
     """Visited non-final states of m_cal seeded rollouts; no expert labels."""
-    if m_cal < 1:
-        raise ConfigurationError("m_cal must be >= 1")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    chunks = []
-    lengths = []
-    for child in seed.spawn(m_cal):
-        traj = rollout(env, policy, child)
-        chunks.append(traj.states[:-1])
-        lengths.append(traj.length)
-    return CalibrationSet(states=np.concatenate(chunks), episode_lengths=lengths)
+    trajs = list(rollouts(env, policy, seed, m_cal))
+    return CalibrationSet(states=np.concatenate([t.states[:-1] for t in trajs]),
+                          episode_lengths=[t.length for t in trajs])
 
 
 def quantile_index(n: int, alpha: float) -> int:

@@ -8,6 +8,7 @@ parameters, policy parameters, seed).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,9 @@ def rollout(env, policy, seed) -> Trajectory:
     """Roll the policy out for one episode.
 
     Stops at the first terminal state or at t_max, whichever comes first, so
-    the episode length L satisfies 1 <= L <= t_max. `seed` may be an int or a
-    numpy SeedSequence; all stochasticity (the initial state draw) comes from
-    the resulting generator.
+    the episode length L satisfies 1 <= L <= t_max. `seed` may be an int, a
+    tuple of ints or a numpy SeedSequence; all stochasticity (the initial
+    state draw) comes from the resulting generator.
     """
     rng = np.random.default_rng(seed)
     x = np.asarray(env.reset(rng), dtype=np.float64)
@@ -69,17 +70,27 @@ def rollout(env, policy, seed) -> Trajectory:
     )
 
 
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """`seed` as a SeedSequence; one that already is one is returned as is."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+def rollouts(env, policy, seed, n_episodes: int) -> Iterator[Trajectory]:
+    """`n_episodes` seeded episodes, each rolled out when it is drawn.
+
+    Episode i runs on child i of `seed`, so a caller that stops drawing early
+    sees the same episodes as one that draws them all.
+    """
+    if n_episodes < 1:
+        raise ConfigurationError("n_episodes must be >= 1")
+    seed = seed_sequence(seed)
+    return (rollout(env, policy, seed.spawn(1)[0]) for _ in range(n_episodes))
+
+
 def evaluate_policy(env, policy, n_episodes: int, seed) -> tuple[float, float]:
     """Mean and standard deviation of episode returns over seeded rollouts.
 
     Evaluation rollouts never touch training budgets or the expert dataset.
     """
-    if n_episodes < 1:
-        raise ConfigurationError("n_episodes must be >= 1")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    returns = [
-        rollout(env, policy, child).episode_return for child in seed.spawn(n_episodes)
-    ]
-    returns = np.asarray(returns)
+    returns = np.array([t.episode_return for t in rollouts(env, policy, seed, n_episodes)])
     return float(returns.mean()), float(returns.std())

@@ -16,43 +16,37 @@ import numpy as np
 from crsail.exceptions import ConfigurationError
 
 
-@dataclass
-class PendulumParams:
-    g: float = 9.81
-    length: float = 1.0
-    mass: float = 1.0
-    damping: float = 0.1
-    dt: float = 0.05
-    # 5.0 N*m rather than 3.0: at 3.0 the gravity torque outruns the actuator
-    # before worst-case initial velocity can be dumped, so no gains can meet
-    # the 99% expert success certification.
-    u_max: float = 5.0
-    theta_fail: float = math.pi / 2
-    t_max: int = 200
-    theta_init: float = 0.3
-    theta_dot_init: float = 0.5
+def _cap_norm(v: np.ndarray, cap: float) -> np.ndarray:
+    """`v`, scaled down to norm `cap` if it is longer."""
+    norm = np.linalg.norm(v)
+    return v * (cap / norm) if norm > cap else v
+
+
+@dataclass(kw_only=True)
+class EnvParams:
+    """What every environment's params hold: Euler step, horizon, fixed start."""
+
+    dt: float
+    t_max: int
     fixed_init: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dt <= 0 or self.u_max <= 0:
-            raise ConfigurationError("dt and u_max must be positive")
-        if not 0 < self.theta_fail <= math.pi:
-            raise ConfigurationError("theta_fail must lie in (0, pi]")
+        if self.dt <= 0:
+            raise ConfigurationError("dt must be positive")
+        if self.t_max < 1:
+            raise ConfigurationError("t_max must be >= 1")
 
 
-class Pendulum:
-    """Inverted pendulum: state (theta, theta_dot), scalar torque action.
+class Env:
+    """What every environment shares: default params, horizon and reset.
 
-    Reward is 1 per non-terminal step; the episode ends when |theta| exceeds
-    the failure bound. Semi-implicit Euler: the velocity is advanced first and
-    the new velocity moves the angle.
+    A subclass names its `Params` and `Expert` classes and, in `init_ranges`,
+    the params field that bounds each initial-state coordinate: `reset` draws
+    coordinate j uniformly from [-w_j, w_j], unless `fixed_init` is set.
     """
 
-    state_dim = 2
-    action_dim = 1
-
-    def __init__(self, params: PendulumParams | None = None):
-        self.params = params or PendulumParams()
+    def __init__(self, params: EnvParams | None = None):
+        self.params = params or self.Params()
 
     @property
     def t_max(self) -> int:
@@ -62,9 +56,69 @@ class Pendulum:
         p = self.params
         if p.fixed_init is not None:
             return np.asarray(p.fixed_init, dtype=np.float64).copy()
-        theta = rng.uniform(-p.theta_init, p.theta_init)
-        theta_dot = rng.uniform(-p.theta_dot_init, p.theta_dot_init)
-        return np.array([theta, theta_dot])
+        w = np.array([getattr(p, name) for name in self.init_ranges])
+        return rng.uniform(-w, w)
+
+
+@dataclass(kw_only=True)
+class PendulumParams(EnvParams):
+    dt: float = 0.05
+    t_max: int = 200
+    g: float = 9.81
+    length: float = 1.0
+    mass: float = 1.0
+    damping: float = 0.1
+    # 5.0 N*m rather than 3.0: at 3.0 the gravity torque outruns the actuator
+    # before worst-case initial velocity can be dumped, so no gains can meet
+    # the 99% expert success certification.
+    u_max: float = 5.0
+    theta_fail: float = math.pi / 2
+    theta_init: float = 0.3
+    theta_dot_init: float = 0.5
+
+    def __post_init__(self):
+        if self.dt <= 0 or self.u_max <= 0:
+            raise ConfigurationError("dt and u_max must be positive")
+        if self.length <= 0 or self.mass <= 0:
+            raise ConfigurationError("length and mass must be positive")
+        if not 0 < self.theta_fail <= math.pi:
+            raise ConfigurationError("theta_fail must lie in (0, pi]")
+        super().__post_init__()
+
+
+class PendulumExpert:
+    """PD stabilizer; gains certified by the expert success-rate test."""
+
+    KP = 12.0
+    KD = 3.0
+
+    def __init__(self, params: PendulumParams | None = None, noise_std: float = 0.0,
+                 noise_seed: int = 0):
+        self.params = params or PendulumParams()
+        self.noise_std = noise_std
+        self._noise_rng = np.random.default_rng(noise_seed)
+
+    def act(self, state) -> np.ndarray:
+        u = -self.KP * state[0] - self.KD * state[1]
+        if self.noise_std > 0.0:
+            u = u + self.noise_std * self._noise_rng.standard_normal()
+        u_max = self.params.u_max
+        return np.array([np.clip(u, -u_max, u_max)])
+
+
+class Pendulum(Env):
+    """Inverted pendulum: state (theta, theta_dot), scalar torque action.
+
+    Reward is 1 per non-terminal step; the episode ends when |theta| exceeds
+    the failure bound. Semi-implicit Euler: the velocity is advanced first and
+    the new velocity moves the angle.
+    """
+
+    state_dim = 2
+    action_dim = 1
+    Params = PendulumParams
+    Expert = PendulumExpert
+    init_ranges = ("theta_init", "theta_dot_init")
 
     def step(self, state, action):
         p = self.params
@@ -81,87 +135,25 @@ class Pendulum:
         return np.array([theta, theta_dot]), reward, terminal
 
 
-class PendulumExpert:
-    """PD stabilizer; gains certified by the expert success-rate test."""
-
-    def __init__(self, params: PendulumParams | None = None, kp: float = 12.0, kd: float = 3.0,
-                 noise_std: float = 0.0, noise_seed: int = 0):
-        self.params = params or PendulumParams()
-        self.kp = kp
-        self.kd = kd
-        self.noise_std = noise_std
-        self._noise_rng = np.random.default_rng(noise_seed)
-
-    def act(self, state) -> np.ndarray:
-        u = -self.kp * state[0] - self.kd * state[1]
-        if self.noise_std > 0.0:
-            u = u + self.noise_std * self._noise_rng.standard_normal()
-        u_max = self.params.u_max
-        return np.array([np.clip(u, -u_max, u_max)])
-
-
-@dataclass
-class PusherParams:
+@dataclass(kw_only=True)
+class PusherParams(EnvParams):
     dt: float = 0.1
+    t_max: int = 100
     speed_cap: float = 1.0
     contact_radius: float = 0.15
     push_gain: float = 0.8
     goal_range: float = 1.0
     object_range: float = 0.6
     agent_range: float = 1.0
-    t_max: int = 100
-    fixed_init: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.speed_cap <= 0:
+            raise ConfigurationError("speed_cap must be positive")
         if self.contact_radius <= 0:
             raise ConfigurationError("contact_radius must be positive")
         if not 0 < self.push_gain <= 1:
             raise ConfigurationError("push_gain must lie in (0, 1]")
-
-
-class Pusher:
-    """Kinematic pushing: state (agent xy, object xy, goal xy), velocity action.
-
-    The goal is part of the state so novelty scoring sees target
-    randomization. The object moves by push_gain times the agent displacement
-    while in contact. Fixed horizon, no early termination; reward is the
-    negative object-goal distance.
-    """
-
-    state_dim = 6
-    action_dim = 2
-
-    def __init__(self, params: PusherParams | None = None):
-        self.params = params or PusherParams()
-
-    @property
-    def t_max(self) -> int:
-        return self.params.t_max
-
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        p = self.params
-        if p.fixed_init is not None:
-            return np.asarray(p.fixed_init, dtype=np.float64).copy()
-        agent = rng.uniform(-p.agent_range, p.agent_range, size=2)
-        obj = rng.uniform(-p.object_range, p.object_range, size=2)
-        goal = rng.uniform(-p.goal_range, p.goal_range, size=2)
-        return np.concatenate([agent, obj, goal])
-
-    def step(self, state, action):
-        p = self.params
-        agent, obj, goal = state[0:2], state[2:4], state[4:6]
-        v = np.asarray(action, dtype=np.float64)
-        speed = np.linalg.norm(v)
-        if speed > p.speed_cap:
-            v = v * (p.speed_cap / speed)
-        move = p.dt * v
-        agent_next = agent + move
-        if np.linalg.norm(agent_next - obj) <= p.contact_radius:
-            obj_next = obj + p.push_gain * move
-        else:
-            obj_next = obj.copy()
-        reward = -float(np.linalg.norm(obj_next - goal))
-        return np.concatenate([agent_next, obj_next, goal]), reward, False
+        super().__post_init__()
 
 
 class PusherExpert:
@@ -175,19 +167,19 @@ class PusherExpert:
     once the object is close enough to the goal.
     """
 
-    def __init__(self, params: PusherParams | None = None, standoff: float = 0.2,
-                 align_tol: float = 0.06, goal_tol: float = 0.03):
+    STANDOFF = 0.2
+    ALIGN_TOL = 0.06
+    GOAL_TOL = 0.03
+
+    def __init__(self, params: PusherParams | None = None):
         self.params = params or PusherParams()
-        self.standoff = standoff
-        self.align_tol = align_tol
-        self.goal_tol = goal_tol
 
     def act(self, state) -> np.ndarray:
         p = self.params
         agent, obj, goal = state[0:2], state[2:4], state[4:6]
         to_goal = goal - obj
         dist = np.linalg.norm(to_goal)
-        if dist < self.goal_tol:
+        if dist < self.GOAL_TOL:
             return np.zeros(2)
         direction = to_goal / dist
         rel = agent - obj
@@ -195,76 +187,63 @@ class PusherExpert:
         perp_vec = rel - proj * direction
         perp = np.linalg.norm(perp_vec)
         in_contact = np.linalg.norm(rel) <= p.contact_radius
-        behind_aligned = proj < 0 and perp < self.align_tol
+        behind_aligned = proj < 0 and perp < self.ALIGN_TOL
 
         if in_contact or behind_aligned:
             v = direction * p.speed_cap
         elif proj <= 0:
-            v = (obj - self.standoff * direction - agent) / p.dt
+            v = (obj - self.STANDOFF * direction - agent) / p.dt
         else:
             # agent is between object and goal; swing wide before coming back
-            clearance = p.contact_radius + self.standoff * 0.5
+            clearance = p.contact_radius + self.STANDOFF * 0.5
             if perp < clearance:
                 side = perp_vec / perp if perp > 1e-12 else np.array([-direction[1], direction[0]])
                 v = side * p.speed_cap
             else:
-                v = (obj - self.standoff * direction + clearance * (perp_vec / perp) - agent) / p.dt
-        speed = np.linalg.norm(v)
-        if speed > p.speed_cap:
-            v = v * (p.speed_cap / speed)
-        return v
+                v = (obj - self.STANDOFF * direction + clearance * (perp_vec / perp) - agent) / p.dt
+        return _cap_norm(v, p.speed_cap)
 
 
-@dataclass
-class DoubleIntegratorParams:
-    dt: float = 0.1
-    accel_cap: float = 1.0
-    t_max: int = 150
-    pos_range: float = 1.0
-    vel_range: float = 0.3
-    fixed_init: np.ndarray | None = None
+class Pusher(Env):
+    """Kinematic pushing: state (agent xy, object xy, goal xy), velocity action.
 
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
-
-
-class DoubleIntegrator:
-    """Planar double integrator: state (p, v) in R^4, acceleration action.
-
-    Explicit Euler with the old velocity moving the position. Fixed horizon;
-    reward penalizes distance from the origin (evaluation only).
+    The goal is part of the state so novelty scoring sees target
+    randomization. The object moves by push_gain times the agent displacement
+    while in contact. Fixed horizon, no early termination; reward is the
+    negative object-goal distance.
     """
 
-    state_dim = 4
+    state_dim = 6
     action_dim = 2
-
-    def __init__(self, params: DoubleIntegratorParams | None = None):
-        self.params = params or DoubleIntegratorParams()
-
-    @property
-    def t_max(self) -> int:
-        return self.params.t_max
-
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        p = self.params
-        if p.fixed_init is not None:
-            return np.asarray(p.fixed_init, dtype=np.float64).copy()
-        pos = rng.uniform(-p.pos_range, p.pos_range, size=2)
-        vel = rng.uniform(-p.vel_range, p.vel_range, size=2)
-        return np.concatenate([pos, vel])
+    Params = PusherParams
+    Expert = PusherExpert
+    init_ranges = ("agent_range",) * 2 + ("object_range",) * 2 + ("goal_range",) * 2
 
     def step(self, state, action):
         p = self.params
-        pos, vel = state[0:2], state[2:4]
-        a = np.asarray(action, dtype=np.float64)
-        mag = np.linalg.norm(a)
-        if mag > p.accel_cap:
-            a = a * (p.accel_cap / mag)
-        pos_next = pos + p.dt * vel
-        vel_next = vel + p.dt * a
-        reward = -float(pos_next @ pos_next + vel_next @ vel_next)
-        return np.concatenate([pos_next, vel_next]), reward, False
+        agent, obj, goal = state[0:2], state[2:4], state[4:6]
+        move = p.dt * _cap_norm(np.asarray(action, dtype=np.float64), p.speed_cap)
+        agent_next = agent + move
+        if np.linalg.norm(agent_next - obj) <= p.contact_radius:
+            obj_next = obj + p.push_gain * move
+        else:
+            obj_next = obj.copy()
+        reward = -float(np.linalg.norm(obj_next - goal))
+        return np.concatenate([agent_next, obj_next, goal]), reward, False
+
+
+@dataclass(kw_only=True)
+class DoubleIntegratorParams(EnvParams):
+    dt: float = 0.1
+    t_max: int = 150
+    accel_cap: float = 1.0
+    pos_range: float = 1.0
+    vel_range: float = 0.3
+
+    def __post_init__(self):
+        if self.accel_cap <= 0:
+            raise ConfigurationError("accel_cap must be positive")
+        super().__post_init__()
 
 
 def _discrete_lqr_gain(a, b, q, r, iters: int = 500, tol: float = 1e-12) -> np.ndarray:
@@ -298,42 +277,45 @@ class DoubleIntegratorExpert:
 
     def act(self, state) -> np.ndarray:
         u = -self.gain @ np.asarray(state, dtype=np.float64)
-        mag = np.linalg.norm(u)
-        cap = self.params.accel_cap
-        if mag > cap:
-            u = u * (cap / mag)
-        return u
+        return _cap_norm(u, self.params.accel_cap)
 
 
-class ZeroPolicy:
-    """Always outputs the zero action; baseline for expert certification."""
+class DoubleIntegrator(Env):
+    """Planar double integrator: state (p, v) in R^4, acceleration action.
 
-    def __init__(self, action_dim: int):
-        self.action_dim = action_dim
+    Explicit Euler with the old velocity moving the position. Fixed horizon;
+    reward penalizes distance from the origin (evaluation only).
+    """
 
-    def act(self, state) -> np.ndarray:
-        return np.zeros(self.action_dim)
+    state_dim = 4
+    action_dim = 2
+    Params = DoubleIntegratorParams
+    Expert = DoubleIntegratorExpert
+    init_ranges = ("pos_range",) * 2 + ("vel_range",) * 2
+
+    def step(self, state, action):
+        p = self.params
+        pos, vel = state[0:2], state[2:4]
+        a = _cap_norm(np.asarray(action, dtype=np.float64), p.accel_cap)
+        pos_next = pos + p.dt * vel
+        vel_next = vel + p.dt * a
+        reward = -float(pos_next @ pos_next + vel_next @ vel_next)
+        return np.concatenate([pos_next, vel_next]), reward, False
 
 
-_ENVS = {
-    "pendulum": (Pendulum, PendulumParams),
-    "pusher": (Pusher, PusherParams),
-    "double_integrator": (DoubleIntegrator, DoubleIntegratorParams),
-}
+_KINDS = {"pendulum": Pendulum, "pusher": Pusher, "double_integrator": DoubleIntegrator}
 
 
-def make_env(kind: str, **param_overrides):
-    if kind not in _ENVS:
+def make_env(kind: str, **param_overrides) -> Env:
+    if kind not in _KINDS:
         raise ConfigurationError(f"unknown environment kind: {kind!r}")
-    env_cls, params_cls = _ENVS[kind]
-    return env_cls(params_cls(**param_overrides))
+    env_cls = _KINDS[kind]
+    return env_cls(env_cls.Params(**param_overrides))
 
 
 def make_expert(env, **kwargs):
-    if isinstance(env, Pendulum):
-        return PendulumExpert(env.params, **kwargs)
-    if isinstance(env, Pusher):
-        return PusherExpert(env.params, **kwargs)
-    if isinstance(env, DoubleIntegrator):
-        return DoubleIntegratorExpert(env.params, **kwargs)
-    raise ConfigurationError(f"no expert available for {type(env).__name__}")
+    """The scripted expert of the env's kind; a subclass keeps its parent's."""
+    expert_cls = getattr(env, "Expert", None)
+    if expert_cls is None:
+        raise ConfigurationError(f"no expert available for {type(env).__name__}")
+    return expert_cls(env.params, **kwargs)

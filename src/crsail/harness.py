@@ -99,6 +99,9 @@ class ExperimentConfig:
             raise ConfigurationError("config must set experiment.env")
         if not self.strategy:
             raise ConfigurationError("config must set experiment.strategy")
+        for name in ("eval_episodes", "m_cal"):  # episode counts of every run
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
         unknown = [f"strategy.{key}" for key in self.strategy_params
                    if key not in ("alpha", *_keys(StrategyConfig))]
         unknown += [f"train.{key}" for key in self.train_params if key not in _keys(TrainConfig)]
@@ -123,7 +126,12 @@ class ExperimentConfig:
                     if val.strip() != "":  # an empty value keeps the default
                         kwargs.setdefault(layout[section][0].name, {})[key] = _convert(val)
                 elif key in home:
-                    kwargs[key] = _parse(home[key].type, val)
+                    try:
+                        kwargs[key] = _parse(home[key].type, val)
+                    except ValueError:
+                        expected = "integers" if home[key].type == "list[int]" else "an integer"
+                        raise ConfigurationError(f"{section}.{key}: expected {expected}, "
+                                                 f"got {val.strip()!r}") from None
                 else:
                     raise ConfigurationError(f"unknown config key {section}.{key}")
         return cls(**kwargs)
@@ -191,21 +199,19 @@ def run_single(config: ExperimentConfig, m: int, seed: int) -> RunRecord:
     train_config = config.make_train_config(seed)
     strategy = config.make_strategy_config()
 
-    expert_mean, _ = evaluate_policy(env, expert, config.eval_episodes,
-                                     np.random.SeedSequence((seed, 101)))
-    dataset = build_initial_dataset(env, expert, m, np.random.SeedSequence((seed, 102)))
+    expert_mean, _ = evaluate_policy(env, expert, config.eval_episodes, (seed, 101))
+    dataset = build_initial_dataset(env, expert, m, (seed, 102))
     policy = behavioral_cloning(dataset, train_config)
     threshold = None
     if strategy.kind == "crsail":
         threshold = calibrate_radius(
             env, policy, dataset, strategy.novelty_config(), config.alpha,
-            config.m_cal, np.random.SeedSequence((seed, 103)),
+            config.m_cal, (seed, 103),
         )
     budget = Budget(max_queries=config.max_queries, max_steps=config.max_steps)
     _, record = train(
-        env, expert, dataset, policy, strategy, budget, train_config,
-        np.random.SeedSequence((seed, 104)), threshold=threshold,
-        expert_mean=expert_mean, eval_episodes=config.eval_episodes,
+        env, expert, dataset, policy, strategy, budget, train_config, (seed, 104),
+        threshold=threshold, expert_mean=expert_mean, eval_episodes=config.eval_episodes,
         recalibrate_every=config.recalibrate_every, m_cal=config.m_cal,
         run_config=config.snapshot(m, seed),
     )

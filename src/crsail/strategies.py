@@ -48,6 +48,8 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown strategy kind {self.kind!r}")
+        if self.k < 1:
+            raise ConfigurationError("k must be >= 1")
         if not 0.0 <= self.rate <= 1.0:
             raise ConfigurationError("rate must lie in [0, 1]")
         if self.tau < 0.0:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from crsail.conformal import CalibratedThreshold, calibrate_radius
-from crsail.core import evaluate_policy, rollout
+from crsail.core import evaluate_policy, rollout, rollouts, seed_sequence
 from crsail.dataset import ExpertDataset
 from crsail.exceptions import ConfigurationError, InvariantError
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, update
@@ -148,14 +148,13 @@ def build_initial_dataset(env, expert, m: int, seed) -> ExpertDataset:
     """Concatenate whole expert rollouts until at least m pairs are collected."""
     if m < 1:
         raise ConfigurationError("m must be >= 1")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     states, actions, total = [], [], 0
-    while total < m:
-        traj = rollout(env, expert, seed.spawn(1)[0])
+    for traj in rollouts(env, expert, seed, m):  # each episode adds at least one pair
         states.append(traj.states[:-1])
         actions.append(traj.actions)
         total += traj.length
+        if total >= m:
+            break
     return ExpertDataset(np.concatenate(states), np.concatenate(actions))
 
 
@@ -187,9 +186,7 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
     """
     if strategy.kind == "crsail" and threshold is None:
         raise ConfigurationError("crsail strategy requires a calibrated threshold")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    rollout_ss, eval_ss, update_ss, strat_ss, recal_ss = seed.spawn(5)
+    rollout_ss, eval_ss, update_ss, strat_ss, recal_ss = seed_sequence(seed).spawn(5)
     update_rng = np.random.default_rng(update_ss)
     strat_rng = np.random.default_rng(strat_ss)
 

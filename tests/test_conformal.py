@@ -8,11 +8,12 @@ from crsail.conformal import (
     quantile_index,
 )
 from crsail.core import evaluate_policy, rollout
-from crsail.envs import ZeroPolicy, make_env, make_expert
+from crsail.envs import make_env, make_expert
 from crsail.exceptions import ConfigurationError, InfeasibleCalibrationError
 from crsail.novelty import NoveltyConfig, score_batch
 from crsail.policy import TrainConfig, behavioral_cloning
 from crsail.trainer import build_initial_dataset
+from helpers import ZeroPolicy
 
 
 def test_quantile_99_scores():
@@ -75,6 +76,11 @@ def test_collect_calibration_fixed_horizon_counts():
     cal = collect_calibration(env, ZeroPolicy(2), m_cal=1, seed=0)
     assert cal.n_cal == 100
     assert cal.episode_lengths == [100]
+
+
+def test_collect_calibration_requires_an_episode():
+    with pytest.raises(ConfigurationError):
+        collect_calibration(make_env("pendulum"), ZeroPolicy(1), m_cal=0, seed=0)
 
 
 def test_collect_calibration_deterministic():

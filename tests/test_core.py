@@ -9,9 +9,9 @@ from crsail.envs import (
     PendulumParams,
     make_env,
     make_expert,
-    ZeroPolicy,
 )
 from crsail.exceptions import ConfigurationError, NumericalFailureError
+from helpers import ZeroPolicy
 
 
 class NanPolicy:
@@ -90,6 +90,14 @@ def test_surviving_policy_returns_exactly_t_max():
     expert = make_expert(env)
     mean, std = evaluate_policy(env, expert, 20, 3)
     assert mean == 200.0 and std == 0.0
+
+
+def test_evaluate_episode_i_runs_on_child_i_of_the_seed():
+    env = make_env("pendulum")
+    policy = ZeroPolicy(1)
+    returns = [rollout(env, policy, child).episode_return
+               for child in np.random.SeedSequence(4).spawn(6)]
+    assert evaluate_policy(env, policy, 6, 4) == (np.mean(returns), np.std(returns))
 
 
 def test_evaluate_requires_positive_episodes():

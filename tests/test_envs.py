@@ -12,13 +12,14 @@ from crsail.envs import (
     PendulumExpert,
     PendulumParams,
     Pusher,
+    PusherExpert,
     PusherParams,
-    ZeroPolicy,
     _discrete_lqr_gain,
     make_env,
     make_expert,
 )
 from crsail.exceptions import ConfigurationError
+from helpers import ZeroPolicy
 
 
 def test_pendulum_equilibrium_is_fixed_point():
@@ -142,6 +143,21 @@ def test_invalid_params_rejected():
         PusherParams(push_gain=1.5)
     with pytest.raises(ConfigurationError):
         make_env("mujoco")
+    for kind, overrides in [
+        ("pendulum", {"length": 0.0}),
+        ("pendulum", {"mass": -1.0}),
+        ("pendulum", {"t_max": 0}),
+        ("pusher", {"dt": 0.0}),
+        ("pusher", {"dt": -0.1}),
+        ("pusher", {"speed_cap": 0.0}),
+        ("pusher", {"speed_cap": -1.0}),
+        ("pusher", {"t_max": 0}),
+        ("double_integrator", {"accel_cap": 0.0}),
+        ("double_integrator", {"accel_cap": -1.0}),
+        ("double_integrator", {"t_max": 0}),
+    ]:
+        with pytest.raises(ConfigurationError):
+            make_env(kind, **overrides)
 
 
 def test_degraded_expert_flag_adds_label_noise():
@@ -150,3 +166,30 @@ def test_degraded_expert_flag_adds_label_noise():
     clean = make_expert(env)
     state = np.array([0.1, 0.0])
     assert not np.array_equal(noisy.act(state), clean.act(state))
+
+
+@pytest.mark.parametrize("kind, draws", [
+    ("pendulum", [("theta_init", None), ("theta_dot_init", None)]),
+    ("pusher", [("agent_range", 2), ("object_range", 2), ("goal_range", 2)]),
+    ("double_integrator", [("pos_range", 2), ("vel_range", 2)]),
+])
+def test_reset_matches_per_coordinate_draws(kind, draws):
+    env = make_env(kind)
+    for seed in range(20):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = np.hstack([oracle.uniform(-getattr(env.params, name), getattr(env.params, name),
+                                             size=size) for name, size in draws])
+        assert np.array_equal(env.reset(rng), expected)
+        assert rng.random() == oracle.random()  # the stream continues in step
+
+
+def test_env_subclass_gets_parent_expert():
+    class TallPendulum(Pendulum):
+        pass
+
+    env = TallPendulum(PendulumParams(length=2.0))
+    expert = make_expert(env, noise_std=0.1)
+    assert type(expert) is PendulumExpert and expert.params is env.params
+    assert type(make_expert(make_env("pusher"))) is PusherExpert
+    with pytest.raises(ConfigurationError):
+        make_expert(object())

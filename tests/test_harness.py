@@ -92,6 +92,41 @@ def test_set_overrides(config_path):
         ExperimentConfig.from_file(config_path, overrides=["nodots"])
 
 
+@pytest.mark.parametrize("override, message", [
+    ("experiment.workers=two", "experiment.workers: expected an integer, got 'two'"),
+    ("experiment.m_values=5.5", "experiment.m_values: expected integers, got '5.5'"),
+    ("budget.max_steps=lots", "budget.max_steps: expected an integer, got 'lots'"),
+])
+def test_non_integer_value_names_section_and_key(config_path, override, message):
+    with pytest.raises(ConfigurationError) as err:
+        ExperimentConfig.from_file(config_path, overrides=[override])
+    assert str(err.value) == message
+
+
+def test_strategy_k_checked_at_load(config_path):
+    for strategy in ("crsail", "dagger"):
+        with pytest.raises(ConfigurationError, match="k must be >= 1"):
+            ExperimentConfig.from_file(
+                config_path, overrides=[f"experiment.strategy={strategy}", "strategy.k=0"])
+
+
+@pytest.mark.parametrize("override", ["experiment.eval_episodes=0", "conformal.m_cal=0"])
+def test_episode_counts_checked_at_load(config_path, override):
+    with pytest.raises(ConfigurationError, match="must be >= 1"):
+        ExperimentConfig.from_file(config_path, overrides=[override])
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--M", "50"]])
+@pytest.mark.parametrize("override", ["experiment.workers=two", "strategy.k=0"])
+def test_cli_config_error_is_one_line_and_exit_2(config_path, capsys, command, override):
+    argv = [command[0], config_path, *command[1:], "--set", override, "--print-config"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"crsail {command[0]}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_invalid_strategy_fails_fast(config_path):
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_file(config_path, overrides=["experiment.strategy=oracle"])

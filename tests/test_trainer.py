@@ -5,7 +5,7 @@ import pytest
 
 import crsail.trainer
 from crsail.conformal import calibrate_radius
-from crsail.core import evaluate_policy
+from crsail.core import evaluate_policy, rollout
 from crsail.envs import make_env, make_expert
 from crsail.exceptions import ConfigurationError, InvariantError, NumericalFailureError
 from crsail.policy import TrainConfig, behavioral_cloning
@@ -72,6 +72,32 @@ def test_build_initial_dataset_deterministic():
     assert np.array_equal(a.actions, b.actions)
     with pytest.raises(ConfigurationError):
         build_initial_dataset(env, make_expert(env), 0, 0)
+
+
+def test_build_initial_dataset_episode_i_runs_on_child_i_of_the_seed():
+    env = make_env("pendulum")
+    expert = make_expert(env)
+    ds = build_initial_dataset(env, expert, 450, 5)  # three 200-step episodes
+    trajs = [rollout(env, expert, child) for child in np.random.SeedSequence(5).spawn(3)]
+    assert np.array_equal(ds.states, np.concatenate([t.states[:-1] for t in trajs]))
+    assert np.array_equal(ds.actions, np.concatenate([t.actions for t in trajs]))
+
+
+def test_build_initial_dataset_rolls_out_no_extra_episode():
+    env = make_env("pendulum")
+    calls = []
+
+    class CountingExpert:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def act(self, state):
+            calls.append(state)
+            return self.inner.act(state)
+
+    # a noisy expert's generator advances once per call, so extra calls would shift it
+    ds = build_initial_dataset(env, CountingExpert(make_expert(env, noise_std=0.1)), 450, 5)
+    assert len(calls) == len(ds) == 600
 
 
 def test_dagger_queries_equal_steps():
