@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from crsail.exceptions import ConfigurationError
@@ -49,17 +50,22 @@ def _cmd_sweep(args) -> int:
         print("sweep requires exactly one of --alpha/--K/--M", file=sys.stderr)
         return 2
     name, raw = chosen[0]
-    values = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    cast = float if name == "alpha" else int
     base_outdir = config.output_dir
+    points = []  # (value as given, its config); every point is checked before any runs
+    for val in [tok.strip() for tok in raw.split(",") if tok.strip()]:
+        try:
+            value = cast(val)
+        except ValueError:
+            expected = "a number" if cast is float else "an integer"
+            raise ConfigurationError(f"axis {name}: expected {expected}, got {val!r}") from None
+        change = {"m_values": [value]} if name == "m" else \
+            {"strategy_params": {**config.strategy_params, name: value}}
+        points.append((val, replace(config, output_dir=os.path.join(base_outdir, f"{name}_{val}"),
+                                    **change)))
     any_failed = False
     total = 0
-    for val in values:
-        if name == "m":
-            change = {"m_values": [int(val)]}
-        else:
-            cast = float if name == "alpha" else int
-            change = {"strategy_params": {**config.strategy_params, name: cast(val)}}
-        sub = replace(config, output_dir=os.path.join(base_outdir, f"{name}_{val}"), **change)
+    for val, sub in points:
         if args.print_config:
             print(sub.resolved_text())
             continue
@@ -73,20 +79,20 @@ def _cmd_sweep(args) -> int:
     return 1 if any_failed else 0
 
 
-def _collect_records(directory):
-    records = load_records(directory)
-    # sweeps nest per-value subdirectories; pick those up too
-    for name in sorted(os.listdir(directory)):
-        sub = os.path.join(directory, name)
-        if os.path.isdir(sub):
-            records.extend(load_records(sub))
+def _collect_records(args):
+    """The directory's records; each skipped file is one line on stderr."""
+    with warnings.catch_warnings(record=True) as skipped:
+        warnings.simplefilter("always")
+        records = load_records(args.directory)
+    for warning in skipped:
+        print(f"crsail {args.command}: {warning.message}", file=sys.stderr)
     if not records:
-        print(f"no run records found in {directory}", file=sys.stderr)
+        print(f"no run records found in {args.directory}", file=sys.stderr)
     return records
 
 
 def _cmd_summarize(args) -> int:
-    records = _collect_records(args.directory)
+    records = _collect_records(args)
     if not records:
         return 1
     rows = summarize(records)
@@ -96,7 +102,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    records = _collect_records(args.directory)
+    records = _collect_records(args)
     if not records:
         return 1
     outdir = args.out or os.path.join(args.directory, "plotdata")

@@ -8,6 +8,8 @@ import numpy as np
 
 from crsail.exceptions import ConfigurationError, NumericalFailureError
 
+STD_FLOOR = 1e-8  # a dimension whose spread is below this is left unscaled
+
 
 @dataclass
 class Standardizer:
@@ -17,11 +19,11 @@ class Standardizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, states: np.ndarray, std_floor: float = 1e-8) -> "Standardizer":
+    def fit(cls, states: np.ndarray) -> "Standardizer":
         states = np.asarray(states, dtype=np.float64)
         mean = states.mean(axis=0)
         std = states.std(axis=0)
-        std = np.where(std < std_floor, 1.0, std)
+        std = np.where(std < STD_FLOOR, 1.0, std)
         return cls(mean=mean, std=std)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
@@ -86,26 +88,3 @@ class ExpertDataset:
 
     def copy(self) -> "ExpertDataset":
         return ExpertDataset(self.states.copy(), self.actions.copy(), self.standardizer)
-
-    def save(self, path) -> None:
-        """Plain-text format: header `d action_dim count`, one pair per row.
-
-        Values are written with 17 significant digits so the decimal
-        round-trip is bit exact.
-        """
-        with open(path, "w") as fh:
-            fh.write(f"{self.state_dim} {self.action_dim} {len(self)}\n")
-            for x, u in zip(self.states, self.actions):
-                row = np.concatenate([x, u])
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "ExpertDataset":
-        with open(path) as fh:
-            d, a, n = (int(tok) for tok in fh.readline().split())
-            rows = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-        if rows.shape != (n, d + a):
-            raise ConfigurationError(
-                f"expected {n} rows of {d + a} values, got shape {rows.shape}"
-            )
-        return cls(rows[:, :d], rows[:, d:])

@@ -14,6 +14,7 @@ import configparser
 import math
 import os
 import traceback
+import warnings
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -102,14 +103,22 @@ class ExperimentConfig:
         for name in ("eval_episodes", "m_cal"):  # episode counts of every run
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        for name, low in (("seeds", 0), ("m_values", 1)):  # the grid's axes
+            values = getattr(self, name)
+            if not values:
+                raise ConfigurationError(f"{name} must not be empty")
+            if min(values) < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {min(values)}")
         unknown = [f"strategy.{key}" for key in self.strategy_params
                    if key not in ("alpha", *_keys(StrategyConfig))]
         unknown += [f"train.{key}" for key in self.train_params if key not in _keys(TrainConfig)]
         if unknown:
             raise ConfigurationError(f"unknown config key {unknown[0]}")
+        alpha = self.strategy_params.get("alpha", ALPHA)
+        if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
+            raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha!r}")
         # fail fast on invalid kind/params before any run starts
-        self.strategy_params = {"alpha": self.strategy_params.get("alpha", ALPHA),
-                                **_values(self.make_strategy_config())}
+        self.strategy_params = {"alpha": alpha, **_values(self.make_strategy_config())}
         self.train_params = _values(self.make_train_config(0))
         Budget(max_queries=self.max_queries, max_steps=self.max_steps)
 
@@ -259,10 +268,24 @@ def run(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]]:
 
 
 def load_records(directory) -> list[RunRecord]:
+    """The records of a run directory: its own `.json` files, then those of
+    each subdirectory (a sweep writes one per value), each level in name order.
+
+    A missing directory is a ConfigurationError. A `.json` file that holds no
+    valid record is skipped with a warning naming the file and the cause.
+    """
+    if not os.path.isdir(directory):
+        problem = "is not a directory" if os.path.exists(directory) else "does not exist"
+        raise ConfigurationError(f"run directory {directory} {problem}")
+    entries = [os.path.join(directory, name) for name in sorted(os.listdir(directory))]
+    paths = [os.path.join(level, name) for level in [directory, *filter(os.path.isdir, entries)]
+             for name in sorted(os.listdir(level)) if name.endswith(".json")]
     records = []
-    for name in sorted(os.listdir(directory)):
-        if name.endswith(".json"):
-            records.append(RunRecord.load_json(os.path.join(directory, name)))
+    for path in paths:
+        try:
+            records.append(RunRecord.load_json(path))
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            warnings.warn(f"skipped {path}: {type(exc).__name__}: {exc}", stacklevel=2)
     return records
 
 

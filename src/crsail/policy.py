@@ -64,10 +64,6 @@ class MLPPolicy:
     def state_dim(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def action_dim(self) -> int:
-        return self.w2.shape[0]
-
     def _standardize(self, x: np.ndarray) -> np.ndarray:
         if self.standardizer is None:
             return x
@@ -90,38 +86,6 @@ class MLPPolicy:
     def copy(self) -> "MLPPolicy":
         return MLPPolicy(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
                          self.standardizer)
-
-    def params_equal(self, other: "MLPPolicy") -> bool:
-        return (
-            np.array_equal(self.w1, other.w1)
-            and np.array_equal(self.b1, other.b1)
-            and np.array_equal(self.w2, other.w2)
-            and np.array_equal(self.b2, other.b2)
-        )
-
-    def save(self, path) -> None:
-        """Flat numeric file: header with dims, then all parameters flattened."""
-        h, d = self.w1.shape
-        a = self.w2.shape[0]
-        has_std = self.standardizer is not None
-        flat = [self.w1.ravel(), self.b1, self.w2.ravel(), self.b2]
-        if has_std:
-            flat += [self.standardizer.mean, self.standardizer.std]
-        with open(path, "w") as fh:
-            fh.write(f"{d} {h} {a} {int(has_std)}\n")
-            fh.write("\n".join(f"{v:.17g}" for v in np.concatenate(flat)) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "MLPPolicy":
-        with open(path) as fh:
-            d, h, a, has_std = (int(tok) for tok in fh.readline().split())
-            vals = np.loadtxt(fh, dtype=np.float64)
-        sizes = [h * d, h, a * h, a] + ([d, d] if has_std else [])
-        if vals.size != sum(sizes):
-            raise ConfigurationError("policy file has wrong number of values")
-        parts = np.split(vals, np.cumsum(sizes)[:-1])
-        std = Standardizer(parts[4], parts[5]) if has_std else None
-        return cls(parts[0].reshape(h, d), parts[1], parts[2].reshape(a, h), parts[3], std)
 
 
 def loss_and_grad(policy: MLPPolicy, states: np.ndarray, labels: np.ndarray):

@@ -77,9 +77,6 @@ class EpisodeMetrics:
     wall_time: float
     converged_flag: int
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def is_expert_level(eval_mean: float, expert_mean: float) -> bool:
     """Convergence rule: within 5% of the expert's mean return.

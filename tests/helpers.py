@@ -3,6 +3,12 @@
 import numpy as np
 
 
+def params_equal(a, b) -> bool:
+    """Whether two MLP policies have bit-equal weights and biases."""
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("w1", "b1", "w2", "b2"))
+
+
 class ZeroPolicy:
     """Always outputs the zero action; baseline for expert certification."""
 

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import json
 import os
 
 import pytest
@@ -116,8 +117,24 @@ def test_episode_counts_checked_at_load(config_path, override):
         ExperimentConfig.from_file(config_path, overrides=[override])
 
 
+@pytest.mark.parametrize("override, message", [
+    ("experiment.seeds=-1", "seeds must be >= 0, got -1"),
+    ("experiment.seeds=", "seeds must not be empty"),
+    ("experiment.m_values=100,0", "m_values must be >= 1, got 0"),
+    ("experiment.m_values=", "m_values must not be empty"),
+    ("strategy.alpha=1.5", "alpha must lie in (0, 1), got 1.5"),
+    ("strategy.alpha=0", "alpha must lie in (0, 1), got 0"),
+])
+def test_grid_checked_at_load(config_path, override, message):
+    with pytest.raises(ConfigurationError) as err:
+        ExperimentConfig.from_file(config_path, overrides=[override])
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--M", "50"]])
-@pytest.mark.parametrize("override", ["experiment.workers=two", "strategy.k=0"])
+@pytest.mark.parametrize("override", ["experiment.workers=two", "strategy.k=0",
+                                      "experiment.seeds=-1", "experiment.m_values=",
+                                      "strategy.alpha=1.5"])
 def test_cli_config_error_is_one_line_and_exit_2(config_path, capsys, command, override):
     argv = [command[0], config_path, *command[1:], "--set", override, "--print-config"]
     assert main(argv) == 2
@@ -234,6 +251,21 @@ def test_cli_sweep_m_axis(config_path, tmp_path, capsys):
     assert "50" in text and "100" in text
 
 
+@pytest.mark.parametrize("axis, values, message", [
+    ("--K", "3,x", "axis k: expected an integer, got 'x'"),
+    ("--alpha", "0.5,high", "axis alpha: expected a number, got 'high'"),
+    ("--M", "50,0", "m_values must be >= 1, got 0"),
+    ("--alpha", "0.5,1.5", "alpha must lie in (0, 1), got 1.5"),
+])
+def test_cli_sweep_checks_every_value_before_running(config_path, capsys, axis, values,
+                                                     message):
+    assert main(["sweep", config_path, axis, values]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"crsail sweep: {message}\n"
+    assert not os.path.exists(ExperimentConfig.from_file(config_path).output_dir)
+
+
 def test_cli_sweep_alpha_print_config(config_path, capsys):
     assert main(["sweep", config_path, "--alpha", "0.5,0.9", "--print-config"]) == 0
     out = capsys.readouterr().out
@@ -321,3 +353,54 @@ def test_failing_grid_notes_carry_traceback(tmp_path, workers):
         assert note.startswith(f"M=50 seed={seed}: dt and u_max must be positive")
         assert "Traceback (most recent call last)" in note
         assert "make_env" in note
+
+
+def test_load_records_reads_top_level_then_sweep_subdirectories(config_path):
+    assert main(["sweep", config_path, "--M", "100,50"]) == 0
+    assert main(["run", config_path]) == 0
+    outdir = ExperimentConfig.from_file(config_path).output_dir
+    records = load_records(outdir)
+    # the top-level record, then m_100/ and m_50/ in name order
+    assert [r.config["m"] for r in records] == [100, 100, 50]
+
+
+@pytest.mark.parametrize("command", ["summarize", "plotdata"])
+def test_cli_missing_run_directory_is_one_line_and_exit_2(tmp_path, capsys, command):
+    missing = tmp_path / "nowhere"
+    assert main([command, str(missing)]) == 2
+    assert capsys.readouterr().err == f"crsail {command}: run directory {missing} does not exist\n"
+    a_file = tmp_path / "exp.ini"
+    a_file.write_text("")
+    assert main([command, str(a_file)]) == 2
+    assert capsys.readouterr().err == \
+        f"crsail {command}: run directory {a_file} is not a directory\n"
+
+
+def test_bad_record_files_are_skipped_and_named(config_path, capsys):
+    assert main(["run", config_path]) == 0
+    outdir = ExperimentConfig.from_file(config_path).output_dir
+    text = open(os.path.join(outdir, run_basename("dagger", 100, 0) + ".json")).read()
+    tampered = json.loads(text)
+    tampered["summary"]["total_queries"] += 1
+    bad = {"truncated.json": text[:len(text) // 2], "tampered.json": json.dumps(tampered),
+           "notes.json": json.dumps(["not", "a", "record"])}
+    for name, body in bad.items():
+        with open(os.path.join(outdir, name), "w") as fh:
+            fh.write(body)
+
+    with pytest.warns(UserWarning) as caught:
+        records = load_records(outdir)
+    assert [r.config["m"] for r in records] == [100]
+    assert len(caught) == 3
+
+    capsys.readouterr()
+    assert main(["summarize", outdir]) == 0
+    captured = capsys.readouterr()
+    assert "dagger" in captured.out
+    lines = captured.err.splitlines()
+    causes = {"notes.json": "TypeError", "tampered.json": "stored summary does not match",
+              "truncated.json": "JSONDecodeError"}
+    assert len(lines) == len(causes)
+    for line, (name, cause) in zip(lines, sorted(causes.items())):
+        assert line.startswith(f"crsail summarize: skipped {os.path.join(outdir, name)}: ")
+        assert cause in line

@@ -143,16 +143,6 @@ def test_translation_invariance_unstandardized():
     assert score_sK(x, ds1, cfg) == pytest.approx(score_sK(x + shift, ds2, cfg), rel=1e-12)
 
 
-def test_dataset_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(5)
-    ds = ExpertDataset(rng.normal(size=(40, 3)) * 1e3, rng.normal(size=(40, 2)) * 1e-4)
-    path = tmp_path / "dataset.txt"
-    ds.save(path)
-    loaded = ExpertDataset.load(path)
-    assert np.array_equal(loaded.states, ds.states)
-    assert np.array_equal(loaded.actions, ds.actions)
-
-
 def test_append_rejects_non_finite_labels_naming_label_and_row():
     ds = ExpertDataset(np.zeros((3, 2)), np.zeros((3, 1)))
     states = np.array([[1.0, 1.0], [2.0, 2.0]])

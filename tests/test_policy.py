@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from crsail.core import rollout
-from crsail.dataset import ExpertDataset, Standardizer
+from crsail.dataset import ExpertDataset
 from crsail.envs import make_env, make_expert
 from crsail.exceptions import ConfigurationError
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, loss_and_grad, update
 from crsail.trainer import build_initial_dataset
+from helpers import params_equal
 
 
 def random_policy(rng, d=3, a=2, hidden=8):
@@ -131,7 +132,7 @@ def test_bc_is_deterministic():
     dataset = build_initial_dataset(env, make_expert(env), 200, 4)
     p1 = behavioral_cloning(dataset.copy(), TrainConfig(seed=5))
     p2 = behavioral_cloning(dataset.copy(), TrainConfig(seed=5))
-    assert p1.params_equal(p2)
+    assert params_equal(p1, p2)
 
 
 def test_empty_dataset_rejected():
@@ -197,19 +198,7 @@ def test_retrain_from_scratch_flag():
     warm = behavioral_cloning(dataset, TrainConfig(seed=5))
     fresh = update(warm, dataset, config)
     # retraining ignores the incoming parameters entirely
-    assert fresh.params_equal(behavioral_cloning(dataset, TrainConfig(seed=5)))
-
-
-def test_policy_serialization_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    policy = random_policy(rng)
-    policy.standardizer = Standardizer(rng.standard_normal(3), np.abs(rng.standard_normal(3)) + 0.5)
-    path = tmp_path / "policy.txt"
-    policy.save(path)
-    loaded = MLPPolicy.load(path)
-    assert loaded.params_equal(policy)
-    assert np.array_equal(loaded.standardizer.mean, policy.standardizer.mean)
-    assert np.array_equal(loaded.standardizer.std, policy.standardizer.std)
+    assert params_equal(fresh, behavioral_cloning(dataset, TrainConfig(seed=5)))
 
 
 def test_standardizer_shared_between_dataset_and_policy():

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from crsail.trainer import (
     queries_to_expert,
     train,
 )
+from helpers import params_equal
 
 FAST = TrainConfig(bc_epochs=5, update_epochs=2, seed=0)
 
@@ -135,8 +137,8 @@ def test_crsail_without_threshold_rejected():
 def test_train_is_deterministic():
     _, r1 = small_run(StrategyConfig("dagger"), seed=3)
     _, r2 = small_run(StrategyConfig("dagger"), seed=3)
-    assert [e.as_dict() for e in r1.episodes] == [
-        {**e.as_dict(), "wall_time": r1.episodes[i].wall_time}
+    assert [asdict(e) for e in r1.episodes] == [
+        {**asdict(e), "wall_time": r1.episodes[i].wall_time}
         for i, e in enumerate(r2.episodes)
     ]
 
@@ -151,7 +153,7 @@ def test_train_does_not_mutate_inputs():
     train(env, expert, dataset, policy, StrategyConfig("dagger"),
           Budget(max_steps=300), FAST, 1)
     assert np.array_equal(dataset.states, before_states)
-    assert policy.params_equal(params_before)
+    assert params_equal(policy, params_before)
 
 
 def test_random_rate_and_ensemble_strategies_run():
