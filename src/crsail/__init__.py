@@ -31,7 +31,6 @@ from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, loss_and_g
 from crsail.novelty import NoveltyConfig, score_batch, score_sK
 from crsail.conformal import (
     CalibratedThreshold,
-    CalibrationSet,
     calibrate_radius,
     collect_calibration,
     conformal_quantile,

@@ -18,6 +18,7 @@ from crsail.harness import (
     summarize,
     write_summary_csv,
 )
+from crsail.strategies import READS
 
 OUTPUT_ROOT_ENV = "CRSAIL_OUTPUT_ROOT"
 
@@ -50,6 +51,8 @@ def _cmd_sweep(args) -> int:
         print("sweep requires exactly one of --alpha/--K/--M", file=sys.stderr)
         return 2
     name, raw = chosen[0]
+    if name != "m" and name not in READS[config.strategy]:
+        raise ConfigurationError(f"axis {name}: strategy {config.strategy} does not read {name}")
     cast = float if name == "alpha" else int
     base_outdir = config.output_dir
     points = []  # (value as given, its config); every point is checked before any runs

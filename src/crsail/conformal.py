@@ -22,18 +22,6 @@ from crsail.novelty import NoveltyConfig, score_batch
 
 
 @dataclass
-class CalibrationSet:
-    """Multiset of on-policy states visited by the frozen initial policy."""
-
-    states: np.ndarray
-    episode_lengths: list[int]
-
-    @property
-    def n_cal(self) -> int:
-        return len(self.states)
-
-
-@dataclass
 class CalibratedThreshold:
     radius: float
     alpha: float
@@ -41,11 +29,10 @@ class CalibratedThreshold:
     n_cal: int
 
 
-def collect_calibration(env, policy, m_cal: int, seed) -> CalibrationSet:
-    """Visited non-final states of m_cal seeded rollouts; no expert labels."""
-    trajs = list(rollouts(env, policy, seed, m_cal))
-    return CalibrationSet(states=np.concatenate([t.states[:-1] for t in trajs]),
-                          episode_lengths=[t.length for t in trajs])
+def collect_calibration(env, policy, m_cal: int, seed) -> np.ndarray:
+    """The multiset of non-final states that m_cal seeded rollouts of the frozen
+    policy visit, as one array; no expert labels."""
+    return np.concatenate([t.states[:-1] for t in rollouts(env, policy, seed, m_cal)])
 
 
 def quantile_index(n: int, alpha: float) -> int:
@@ -78,6 +65,5 @@ def calibrate_radius(env, policy, dataset: ExpertDataset, config: NoveltyConfig,
         raise ConfigurationError(
             f"initial dataset of size {len(dataset)} is smaller than K={config.k}"
         )
-    cal = collect_calibration(env, policy, m_cal, seed)
-    scores = score_batch(cal.states, dataset, config)
+    scores = score_batch(collect_calibration(env, policy, m_cal, seed), dataset, config)
     return conformal_quantile(scores, alpha)

@@ -9,7 +9,8 @@ fixed-step Euler integration so episodes replay exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,16 +93,11 @@ class PendulumExpert:
     KP = 12.0
     KD = 3.0
 
-    def __init__(self, params: PendulumParams | None = None, noise_std: float = 0.0,
-                 noise_seed: int = 0):
+    def __init__(self, params: PendulumParams | None = None):
         self.params = params or PendulumParams()
-        self.noise_std = noise_std
-        self._noise_rng = np.random.default_rng(noise_seed)
 
     def act(self, state) -> np.ndarray:
         u = -self.KP * state[0] - self.KD * state[1]
-        if self.noise_std > 0.0:
-            u = u + self.noise_std * self._noise_rng.standard_normal()
         u_max = self.params.u_max
         return np.array([np.clip(u, -u_max, u_max)])
 
@@ -303,6 +299,8 @@ class DoubleIntegrator(Env):
         return np.concatenate([pos_next, vel_next]), reward, False
 
 
+# numeric params field type -> (the values it takes, what an error says they must be)
+_NUMBERS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 _KINDS = {"pendulum": Pendulum, "pusher": Pusher, "double_integrator": DoubleIntegrator}
 
 
@@ -310,12 +308,19 @@ def make_env(kind: str, **param_overrides) -> Env:
     if kind not in _KINDS:
         raise ConfigurationError(f"unknown environment kind: {kind!r}")
     env_cls = _KINDS[kind]
+    types = {f.name: f.type for f in fields(env_cls.Params)}
+    for name, value in param_overrides.items():
+        if name not in types:
+            raise ConfigurationError(f"unknown {kind} parameter {name!r}")
+        number, expected = _NUMBERS.get(types[name], (object, ""))
+        if expected and (isinstance(value, bool) or not isinstance(value, number)):
+            raise ConfigurationError(f"{kind} parameter {name}: expected {expected}, got {value!r}")
     return env_cls(env_cls.Params(**param_overrides))
 
 
-def make_expert(env, **kwargs):
+def make_expert(env):
     """The scripted expert of the env's kind; a subclass keeps its parent's."""
     expert_cls = getattr(env, "Expert", None)
     if expert_cls is None:
         raise ConfigurationError(f"no expert available for {type(env).__name__}")
-    return expert_cls(env.params, **kwargs)
+    return expert_cls(env.params)

@@ -2,8 +2,9 @@
 
 Config files are flat INI-style key=value text with one section per module.
 The sections, keys and defaults are the dataclass fields: `ExperimentConfig`
-for [experiment], [conformal] and [budget]; `StrategyConfig` plus `alpha` for
-[strategy]; `TrainConfig` for [train]; [env] is passed to the environment.
+for [experiment], [conformal] and [budget]; `StrategyConfig` (all but `kind`)
+for [strategy]; `TrainConfig` for [train]; [env] is passed to the environment.
+Each value is parsed by the type of its field.
 Every run embeds its fully resolved config snapshot, so any output is
 reproducible from its own header.
 """
@@ -28,8 +29,6 @@ from crsail.policy import TrainConfig, behavioral_cloning
 from crsail.strategies import StrategyConfig
 from crsail.trainer import Budget, RunRecord, build_initial_dataset, train, write_csv
 
-ALPHA = 0.93  # nominal query rate when [strategy] alpha is not set
-HARNESS_OWNED = ("kind", "seed", "radius")  # set per run, never config keys
 GRID_ONLY = ("seeds", "m_values", "output_dir", "workers")  # not part of a run's snapshot
 
 
@@ -46,14 +45,26 @@ def _convert(text: str):
     return text
 
 
-def _parse(kind: str, text: str):
-    """An [experiment], [conformal] or [budget] value, by its field's type."""
+# field type -> (the types its values may take, what an error says a value must be)
+_TYPES = {"list[int]": ((int,), "integers"), "int": ((int,), "an integer"),
+          "float": ((int, float), "a number"), "bool": ((bool,), "true or false")}
+
+
+def _parse(key: str, kind: str, text: str):
+    """The value of config key `key` (section.key) by its field's type, read as `_convert`
+    reads it, so an integer literal in a float field stays an int."""
     text = text.strip()
-    if kind == "list[int]":
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    if kind == "int | None":
-        return int(text) if text else None
-    return int(text) if kind == "int" else text
+    if kind == "str":
+        return text
+    if kind == "int | None" and text == "":
+        return None
+    listed = kind == "list[int]"
+    values = [_convert(tok) for tok in text.split(",") if tok.strip() != ""] if listed \
+        else [_convert(text)]
+    allowed, expected = _TYPES[kind.removesuffix(" | None")]
+    if not all(type(v) in allowed for v in values):
+        raise ConfigurationError(f"{key}: expected {expected}, got {text!r}")
+    return values if listed else values[0]
 
 
 def _format(value) -> str:
@@ -63,15 +74,16 @@ def _format(value) -> str:
 
 
 def _keys(cls) -> list[str]:
-    return [f.name for f in fields(cls) if f.name not in HARNESS_OWNED]
+    return [f.name for f in fields(cls) if f.name != "kind"]  # kind is [experiment] strategy
 
 
 def _values(obj) -> dict:
     return {name: getattr(obj, name) for name in _keys(type(obj))}
 
 
-def _section(name: str, **kwargs):
-    return field(metadata={"section": name}, **kwargs)
+def _section(name: str, typed=None, **kwargs):
+    """A field held in section `name`; a dict field's values take `typed`'s field types."""
+    return field(metadata={"section": name, "typed": typed}, **kwargs)
 
 
 @dataclass
@@ -88,8 +100,8 @@ class ExperimentConfig:
     workers: int = 1
     eval_episodes: int = 20
     env_overrides: dict = _section("env", default_factory=dict)
-    strategy_params: dict = _section("strategy", default_factory=dict)
-    train_params: dict = _section("train", default_factory=dict)
+    strategy_params: dict = _section("strategy", StrategyConfig, default_factory=dict)
+    train_params: dict = _section("train", TrainConfig, default_factory=dict)
     m_cal: int = _section("conformal", default=30)
     recalibrate_every: int = _section("conformal", default=0)
     max_steps: int | None = _section("budget", default=10000)
@@ -110,17 +122,15 @@ class ExperimentConfig:
             if min(values) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {min(values)}")
         unknown = [f"strategy.{key}" for key in self.strategy_params
-                   if key not in ("alpha", *_keys(StrategyConfig))]
+                   if key not in _keys(StrategyConfig)]
         unknown += [f"train.{key}" for key in self.train_params if key not in _keys(TrainConfig)]
         if unknown:
             raise ConfigurationError(f"unknown config key {unknown[0]}")
-        alpha = self.strategy_params.get("alpha", ALPHA)
-        if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
-            raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha!r}")
-        # fail fast on invalid kind/params before any run starts
-        self.strategy_params = {"alpha": alpha, **_values(self.make_strategy_config())}
-        self.train_params = _values(self.make_train_config(0))
+        # fail fast on an invalid strategy, training, budget or env before any run starts
+        self.strategy_params = _values(self.make_strategy_config())
+        self.train_params = _values(self.make_train_config())
         Budget(max_queries=self.max_queries, max_steps=self.max_steps)
+        make_env(self.env, **self.env_overrides)
 
     @classmethod
     def from_parser(cls, parser: configparser.ConfigParser) -> "ExperimentConfig":
@@ -129,18 +139,20 @@ class ExperimentConfig:
         for section in parser.sections():
             if section not in layout:
                 raise ConfigurationError(f"unknown config section [{section}]")
-            home = {f.name: f for f in layout[section]}
+            holder = layout[section][0]
+            if holder.type == "dict":  # the field holds the whole section
+                typed = holder.metadata["typed"]
+                types = {f.name: f.type for f in fields(typed)} if typed else {}
+                values = kwargs.setdefault(holder.name, {})
+            else:
+                types, values = {f.name: f.type for f in layout[section]}, kwargs
             for key, val in parser.items(section):
-                if layout[section][0].type == "dict":
-                    if val.strip() != "":  # an empty value keeps the default
-                        kwargs.setdefault(layout[section][0].name, {})[key] = _convert(val)
-                elif key in home:
-                    try:
-                        kwargs[key] = _parse(home[key].type, val)
-                    except ValueError:
-                        expected = "integers" if home[key].type == "list[int]" else "an integer"
-                        raise ConfigurationError(f"{section}.{key}: expected {expected}, "
-                                                 f"got {val.strip()!r}") from None
+                if holder.type == "dict" and val.strip() == "":
+                    continue  # an empty value keeps the default
+                if key in types:
+                    values[key] = _parse(f"{section}.{key}", types[key], val)
+                elif holder.type == "dict":  # an [env] key, or one __post_init__ rejects
+                    values[key] = _convert(val)
                 else:
                     raise ConfigurationError(f"unknown config key {section}.{key}")
         return cls(**kwargs)
@@ -170,15 +182,10 @@ class ExperimentConfig:
         return cls.from_parser(parser)
 
     def make_strategy_config(self) -> StrategyConfig:
-        params = {k: v for k, v in self.strategy_params.items() if k != "alpha"}
-        return StrategyConfig(kind=self.strategy, **params)
+        return StrategyConfig(kind=self.strategy, **self.strategy_params)
 
-    def make_train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(seed=seed, **self.train_params)
-
-    @property
-    def alpha(self) -> float:
-        return float(self.strategy_params.get("alpha", ALPHA))
+    def make_train_config(self) -> TrainConfig:
+        return TrainConfig(**self.train_params)
 
     def resolved_text(self) -> str:
         """Fully resolved config in the same INI format it was read from."""
@@ -194,7 +201,7 @@ class ExperimentConfig:
     def snapshot(self, m: int, seed: int) -> dict:
         """The per-run part of the config, as embedded in its run record."""
         snap = {k: v for k, v in asdict(self).items() if k not in GRID_ONLY}
-        return {**snap, "alpha": self.alpha, "m": m, "seed": seed}
+        return {**snap, "alpha": self.strategy_params["alpha"], "m": m, "seed": seed}
 
 
 def run_basename(strategy: str, m: int, seed: int) -> str:
@@ -205,16 +212,16 @@ def run_single(config: ExperimentConfig, m: int, seed: int) -> RunRecord:
     """One fully seeded run: dataset, cloning, calibration, training."""
     env = make_env(config.env, **config.env_overrides)
     expert = make_expert(env)
-    train_config = config.make_train_config(seed)
+    train_config = config.make_train_config()
     strategy = config.make_strategy_config()
 
     expert_mean, _ = evaluate_policy(env, expert, config.eval_episodes, (seed, 101))
     dataset = build_initial_dataset(env, expert, m, (seed, 102))
-    policy = behavioral_cloning(dataset, train_config)
+    policy = behavioral_cloning(dataset, train_config, np.random.default_rng(seed))
     threshold = None
     if strategy.kind == "crsail":
         threshold = calibrate_radius(
-            env, policy, dataset, strategy.novelty_config(), config.alpha,
+            env, policy, dataset, strategy.novelty_config(), strategy.alpha,
             config.m_cal, (seed, 103),
         )
     budget = Budget(max_queries=config.max_queries, max_steps=config.max_steps)

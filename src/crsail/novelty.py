@@ -1,9 +1,9 @@
 """Distance to the K-th nearest expert state as a novelty score.
 
-Scores are Euclidean distances on standardized coordinates (when the dataset
-carries a standardizer and the config asks for it). Duplicates count with
-multiplicity. Two backends: exact brute force (default) and a KD-tree, which
-must agree with brute force to the bit.
+Scores are Euclidean distances on standardized coordinates whenever the
+dataset carries a standardizer, as the policy's inputs are. Duplicates count
+with multiplicity. Two backends: exact brute force (default) and a KD-tree,
+which must agree with brute force to the bit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ _BATCH = 256  # query chunk size for the brute-force pairwise block
 @dataclass
 class NoveltyConfig:
     k: int = 5
-    standardize: bool = True
     backend: str = "brute"
 
     def __post_init__(self):
@@ -46,7 +45,7 @@ def score_batch(states, dataset: ExpertDataset, config: NoveltyConfig) -> np.nda
         raise InsufficientDataError(f"K={k} exceeds dataset size {len(dataset)}")
     points = np.asarray(dataset.states, dtype=np.float64)
     q = np.atleast_2d(states)
-    if config.standardize and dataset.standardizer is not None:
+    if dataset.standardizer is not None:
         points = dataset.standardizer.transform(points)
         q = dataset.standardizer.transform(q)
     if config.backend == "kdtree":

@@ -2,7 +2,7 @@
 
 Squared-error imitation loss; gradients are exact analytic backpropagation
 (checked against finite differences in the test suite). Plain minibatch SGD;
-runs are deterministic given the seed.
+runs are deterministic given the generator they draw from.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class TrainConfig:
     bc_epochs: int = 50
     update_epochs: int = 10
     init_scale: float = 0.1
-    seed: int = 0
     retrain_from_scratch: bool = False
 
     def __post_init__(self):
@@ -133,16 +132,14 @@ def _sgd_epochs(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
 
 
 def behavioral_cloning(dataset: ExpertDataset, config: TrainConfig,
-                       rng: np.random.Generator | None = None) -> MLPPolicy:
-    """Train a fresh policy on the dataset by minibatch SGD.
+                       rng: np.random.Generator) -> MLPPolicy:
+    """Train a fresh policy on the dataset by minibatch SGD, drawing from `rng`.
 
     Freezes the dataset standardizer (fitting it if not already set) and
     shares it with the returned policy.
     """
     if len(dataset) == 0:
         raise ConfigurationError("behavioral cloning requires a non-empty dataset")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     if dataset.standardizer is None:
         dataset.freeze_standardizer()
     policy = MLPPolicy.initialize(
@@ -152,8 +149,7 @@ def behavioral_cloning(dataset: ExpertDataset, config: TrainConfig,
 
 
 def update(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
-           epochs: int | None = None,
-           rng: np.random.Generator | None = None) -> MLPPolicy:
+           rng: np.random.Generator, epochs: int | None = None) -> MLPPolicy:
     """Advance the learner on the aggregated dataset.
 
     Warm-starts from the given parameters by default; set
@@ -166,7 +162,5 @@ def update(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
     if epochs < 1:
         raise ConfigurationError("epochs must be >= 1")
     if config.retrain_from_scratch:
-        return behavioral_cloning(dataset, config, rng=rng)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+        return behavioral_cloning(dataset, config, rng)
     return _sgd_epochs(policy.copy(), dataset, config, epochs, rng)

@@ -16,7 +16,14 @@ from crsail.core import Trajectory
 from crsail.exceptions import ConfigurationError
 from crsail.novelty import NoveltyConfig, score_batch
 
-KINDS = ("crsail", "dagger", "random-rate", "fixed-threshold", "ensemble-variance")
+# The StrategyConfig fields each kind's query rule reads, besides its kind.
+READS = {
+    "crsail": ("alpha", "k", "backend"),
+    "dagger": (),
+    "random-rate": ("rate",),
+    "fixed-threshold": ("k", "tau", "backend"),
+    "ensemble-variance": ("tau_doubt", "ensemble_size"),
+}
 
 
 @dataclass
@@ -36,18 +43,19 @@ class QuerySet:
 @dataclass
 class StrategyConfig:
     kind: str
+    alpha: float = 0.93  # nominal query rate; crsail calibrates its radius at it
     k: int = 5
     rate: float = 0.5  # random-rate inclusion probability
     tau: float = 0.1  # fixed-threshold novelty cutoff
     tau_doubt: float = 0.01
     ensemble_size: int = 5
     backend: str = "brute"
-    standardize: bool = True
-    radius: float | None = None  # calibrated threshold for crsail
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in READS:
             raise ConfigurationError(f"unknown strategy kind {self.kind!r}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.k < 1:
             raise ConfigurationError("k must be >= 1")
         if not 0.0 <= self.rate <= 1.0:
@@ -58,17 +66,17 @@ class StrategyConfig:
             raise ConfigurationError("ensemble_size must be >= 2")
 
     def novelty_config(self) -> NoveltyConfig:
-        return NoveltyConfig(k=self.k, standardize=self.standardize, backend=self.backend)
+        return NoveltyConfig(k=self.k, backend=self.backend)
 
 
-def select_queries(strategy: StrategyConfig, trajectory: Trajectory,
-                   dataset: ExpertDataset, aux: dict | None = None) -> QuerySet:
+def select_queries(strategy: StrategyConfig, trajectory: Trajectory, dataset: ExpertDataset,
+                   *, radius: float | None = None, rng: np.random.Generator | None = None,
+                   ensemble: list | None = None) -> QuerySet:
     """Pick the query index set for one completed episode.
 
-    aux carries strategy-specific context: a 'rng' generator for random-rate
-    and a list of 'ensemble' policies for ensemble-variance.
+    Each kind reads its own per-run input: crsail the calibrated `radius`,
+    random-rate the generator `rng`, ensemble-variance the `ensemble` policies.
     """
-    aux = aux or {}
     length = trajectory.length
     visited = trajectory.states[:length]
     all_idx = np.arange(length)
@@ -77,16 +85,14 @@ def select_queries(strategy: StrategyConfig, trajectory: Trajectory,
         return QuerySet(indices=all_idx)
 
     if strategy.kind == "random-rate":
-        rng = aux.get("rng")
         if rng is None:
-            raise ConfigurationError("random-rate strategy requires aux['rng']")
+            raise ConfigurationError("random-rate strategy requires a generator")
         mask = rng.random(length) < strategy.rate
         return QuerySet(indices=all_idx[mask])
 
     if strategy.kind == "ensemble-variance":
-        ensemble = aux.get("ensemble")
         if not ensemble:
-            raise ConfigurationError("ensemble-variance strategy requires aux['ensemble']")
+            raise ConfigurationError("ensemble-variance strategy requires an ensemble")
         preds = np.stack([p.forward(visited) for p in ensemble])
         doubt = preds.std(axis=0).mean(axis=1)
         return QuerySet(indices=all_idx[doubt > strategy.tau_doubt], scores=doubt)
@@ -94,9 +100,9 @@ def select_queries(strategy: StrategyConfig, trajectory: Trajectory,
     # crsail and fixed-threshold both gate on the K-NN novelty score; they
     # differ only in where the threshold comes from.
     if strategy.kind == "crsail":
-        if strategy.radius is None:
+        if radius is None:
             raise ConfigurationError("crsail strategy requires a calibrated radius")
-        threshold = strategy.radius
+        threshold = radius
     else:
         threshold = strategy.tau
     scores = score_batch(visited, dataset, strategy.novelty_config())

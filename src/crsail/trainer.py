@@ -11,7 +11,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -163,7 +163,7 @@ def _train_ensemble(dataset: ExpertDataset, config: TrainConfig, size: int,
         idx = rng.integers(0, len(dataset), size=len(dataset))
         boot = ExpertDataset(dataset.states[idx], dataset.actions[idx],
                              dataset.standardizer)
-        ensemble.append(behavioral_cloning(boot, config, rng=rng))
+        ensemble.append(behavioral_cloning(boot, config, rng))
     return ensemble
 
 
@@ -186,9 +186,7 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
     rollout_ss, eval_ss, update_ss, strat_ss, recal_ss = seed_sequence(seed).spawn(5)
     update_rng = np.random.default_rng(update_ss)
     strat_rng = np.random.default_rng(strat_ss)
-
-    if threshold is not None:
-        strategy = replace(strategy, radius=threshold.radius)
+    radius = threshold.radius if threshold is not None else None
 
     dataset = dataset.copy()
     policy = policy.copy()
@@ -204,15 +202,15 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
         t0 = time.perf_counter()
         try:
             traj = rollout(env, policy, rollout_ss.spawn(1)[0])
-            aux = {"rng": strat_rng}
+            ensemble = None
             if strategy.kind == "ensemble-variance":
-                aux["ensemble"] = _train_ensemble(
-                    dataset, train_config, strategy.ensemble_size, update_rng
-                )
-            qs = select_queries(strategy, traj, dataset, aux)
+                ensemble = _train_ensemble(dataset, train_config, strategy.ensemble_size,
+                                           update_rng)
+            qs = select_queries(strategy, traj, dataset, radius=radius, rng=strat_rng,
+                                ensemble=ensemble)
             q_states, q_actions = label_queries(expert, traj, qs)
             dataset.append(q_states, q_actions)
-            policy = update(policy, dataset, train_config, rng=update_rng)
+            policy = update(policy, dataset, train_config, update_rng)
         except Exception as exc:
             exc.add_note(f"in training iteration {i}")
             raise
@@ -227,11 +225,10 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
         ))
         i += 1
         if recalibrate_every > 0 and i % recalibrate_every == 0 and strategy.kind == "crsail":
-            new_thr = calibrate_radius(
+            radius = calibrate_radius(
                 env, policy, dataset, strategy.novelty_config(),
                 threshold.alpha, m_cal, recal_ss.spawn(1)[0],
-            )
-            strategy = replace(strategy, radius=new_thr.radius)
+            ).radius
 
     if len(dataset) != initial_size + queries:
         raise InvariantError(f"dataset holds {len(dataset)} pairs, expected "

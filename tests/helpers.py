@@ -17,3 +17,20 @@ class ZeroPolicy:
 
     def act(self, state) -> np.ndarray:
         return np.zeros(self.action_dim)
+
+
+class NoisyExpert:
+    """Wraps an expert and adds seeded Gaussian noise to each of its labels.
+
+    The generator advances once per call, so the labels depend on how many
+    calls came before.
+    """
+
+    def __init__(self, expert, noise_std: float, seed: int = 0):
+        self.expert = expert
+        self.noise_std = noise_std
+        self.rng = np.random.default_rng(seed)
+
+    def act(self, state) -> np.ndarray:
+        action = self.expert.act(state)
+        return action + self.noise_std * self.rng.standard_normal(action.shape)

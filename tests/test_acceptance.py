@@ -131,8 +131,8 @@ def test_criterion_3_backend_equivalence(capsys):
         ds = ExpertDataset(points, np.zeros((n_data, 1)))
         queries = rng.normal(size=(1000, 4))
         for k in (1, 5, 9):
-            brute = score_batch(queries, ds, NoveltyConfig(k=k, standardize=False, backend="brute"))
-            tree = score_batch(queries, ds, NoveltyConfig(k=k, standardize=False, backend="kdtree"))
+            brute = score_batch(queries, ds, NoveltyConfig(k=k, backend="brute"))
+            tree = score_batch(queries, ds, NoveltyConfig(k=k, backend="kdtree"))
             exact = exact and np.array_equal(brute, tree)
     # invariants on random instances
     invariants = True
@@ -141,11 +141,11 @@ def test_criterion_3_backend_equivalence(capsys):
         pts = rng.normal(size=(n, 3))
         ds = ExpertDataset(pts, np.zeros((n, 1)))
         x = rng.normal(size=3)
-        s = [score_sK(x, ds, NoveltyConfig(k=k, standardize=False)) for k in range(1, n + 1)]
+        s = [score_sK(x, ds, NoveltyConfig(k=k)) for k in range(1, n + 1)]
         invariants = invariants and all(a <= b for a, b in zip(s, s[1:]))
         before = s[0]
         ds.append(rng.normal(size=(1, 3)), np.zeros((1, 1)))
-        after = score_sK(x, ds, NoveltyConfig(k=1, standardize=False))
+        after = score_sK(x, ds, NoveltyConfig(k=1))
         invariants = invariants and after <= before
     elapsed = time.perf_counter() - start
     ok = exact and invariants and elapsed < BACKEND_TIME_LIMIT
@@ -207,7 +207,7 @@ def test_criterion_4_gradient_check(capsys):
 
 def test_criterion_5_training_loop_invariants(capsys):
     rng = np.random.default_rng(17)
-    fast = TrainConfig(bc_epochs=3, update_epochs=1, seed=0)
+    fast = TrainConfig(bc_epochs=3, update_epochs=1)
     kinds = ("dagger", "crsail", "random-rate", "fixed-threshold")
     ok = True
     notes = []
@@ -217,7 +217,7 @@ def test_criterion_5_training_loop_invariants(capsys):
         env = make_env(env_kind)
         expert = make_expert(env)
         dataset = build_initial_dataset(env, expert, int(rng.integers(50, 200)), trial)
-        policy = behavioral_cloning(dataset, fast)
+        policy = behavioral_cloning(dataset, fast, np.random.default_rng(0))
         strategy = StrategyConfig(kind, k=int(rng.integers(1, 6)),
                                   rate=float(rng.uniform(0.1, 0.9)),
                                   tau=float(rng.uniform(0.0, 0.5)))

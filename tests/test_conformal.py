@@ -73,9 +73,8 @@ def test_radius_is_an_element_of_scores():
 
 def test_collect_calibration_fixed_horizon_counts():
     env = make_env("pusher")
-    cal = collect_calibration(env, ZeroPolicy(2), m_cal=1, seed=0)
-    assert cal.n_cal == 100
-    assert cal.episode_lengths == [100]
+    states = collect_calibration(env, ZeroPolicy(2), m_cal=1, seed=0)
+    assert states.shape == (100, 6)
 
 
 def test_collect_calibration_requires_an_episode():
@@ -87,40 +86,38 @@ def test_collect_calibration_deterministic():
     env = make_env("pendulum")
     c1 = collect_calibration(env, ZeroPolicy(1), m_cal=3, seed=5)
     c2 = collect_calibration(env, ZeroPolicy(1), m_cal=3, seed=5)
-    assert np.array_equal(c1.states, c2.states)
+    assert np.array_equal(c1, c2)
 
 
 def test_collect_calibration_length_accounting():
     env = make_env("pendulum")
     dataset = build_initial_dataset(env, make_expert(env), 200, 1)
-    policy = behavioral_cloning(dataset, TrainConfig(bc_epochs=2, seed=0))
-    cal = collect_calibration(env, policy, m_cal=5, seed=9)
-    assert cal.n_cal == sum(cal.episode_lengths)
-    # recount from fresh rollouts of the same seeds
+    policy = behavioral_cloning(dataset, TrainConfig(bc_epochs=2), np.random.default_rng(0))
+    states = collect_calibration(env, policy, m_cal=5, seed=9)
+    # the non-final states of fresh rollouts of the same seeds, in order
     seeds = np.random.SeedSequence(9).spawn(5)
-    assert cal.episode_lengths == [rollout(env, policy, s).length for s in seeds]
+    assert np.array_equal(
+        states, np.concatenate([rollout(env, policy, s).states[:-1] for s in seeds]))
 
 
 def test_calibrate_radius_deterministic_and_composed():
     env = make_env("pendulum")
     dataset = build_initial_dataset(env, make_expert(env), 300, 2)
-    policy = behavioral_cloning(dataset, TrainConfig(seed=0))
+    policy = behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(0))
     cfg = NoveltyConfig(k=5)
     t1 = calibrate_radius(env, policy, dataset, cfg, alpha=0.93, m_cal=5, seed=3)
     t2 = calibrate_radius(env, policy, dataset, cfg, alpha=0.93, m_cal=5, seed=3)
     assert t1 == t2
-    cal = collect_calibration(env, policy, 5, 3)
-    scores = score_batch(cal.states, dataset, cfg)
+    scores = score_batch(collect_calibration(env, policy, 5, 3), dataset, cfg)
     assert t1.radius == conformal_quantile(scores, 0.93).radius
 
 
 def test_calibrate_radius_boundary_alpha_returns_max_score():
     env = make_env("pendulum")
     dataset = build_initial_dataset(env, make_expert(env), 300, 2)
-    policy = behavioral_cloning(dataset, TrainConfig(seed=0))
+    policy = behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(0))
     cfg = NoveltyConfig(k=5)
-    cal = collect_calibration(env, policy, 2, 4)
-    scores = score_batch(cal.states, dataset, cfg)
+    scores = score_batch(collect_calibration(env, policy, 2, 4), dataset, cfg)
     n = len(scores)
     alpha = 1.5 / (n + 1)  # (n+1)(1-alpha) = n - 0.5, so m = n exactly
     thr = conformal_quantile(scores, alpha)
@@ -154,7 +151,7 @@ def test_on_policy_coverage_diagnostic():
     # rollout states are not exchangeable
     env = make_env("pendulum")
     dataset = build_initial_dataset(env, make_expert(env), 500, 11)
-    policy = behavioral_cloning(dataset, TrainConfig(seed=1))
+    policy = behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(1))
     cfg = NoveltyConfig(k=5)
     alpha = 0.93
     thr = calibrate_radius(env, policy, dataset, cfg, alpha=alpha, m_cal=30, seed=21)

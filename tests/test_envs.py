@@ -160,14 +160,6 @@ def test_invalid_params_rejected():
             make_env(kind, **overrides)
 
 
-def test_degraded_expert_flag_adds_label_noise():
-    env = make_env("pendulum")
-    noisy = make_expert(env, noise_std=0.5)
-    clean = make_expert(env)
-    state = np.array([0.1, 0.0])
-    assert not np.array_equal(noisy.act(state), clean.act(state))
-
-
 @pytest.mark.parametrize("kind, draws", [
     ("pendulum", [("theta_init", None), ("theta_dot_init", None)]),
     ("pusher", [("agent_range", 2), ("object_range", 2), ("goal_range", 2)]),
@@ -188,8 +180,18 @@ def test_env_subclass_gets_parent_expert():
         pass
 
     env = TallPendulum(PendulumParams(length=2.0))
-    expert = make_expert(env, noise_std=0.1)
+    expert = make_expert(env)
     assert type(expert) is PendulumExpert and expert.params is env.params
     assert type(make_expert(make_env("pusher"))) is PusherExpert
     with pytest.raises(ConfigurationError):
         make_expert(object())
+
+
+def test_make_env_names_unknown_and_non_numeric_params():
+    with pytest.raises(ConfigurationError, match="unknown pusher parameter 'speed'"):
+        make_env("pusher", speed=1.0)
+    with pytest.raises(ConfigurationError, match="dt: expected a number, got 'fast'"):
+        make_env("pendulum", dt="fast")
+    with pytest.raises(ConfigurationError, match="t_max: expected an integer, got True"):
+        make_env("double_integrator", t_max=True)
+    assert make_env("pendulum", dt=np.float64(0.01), t_max=np.int64(5)).t_max == 5

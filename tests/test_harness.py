@@ -8,7 +8,6 @@ import pytest
 from crsail.cli import OUTPUT_ROOT_ENV, main
 from crsail.exceptions import ConfigurationError
 from crsail.harness import (
-    HARNESS_OWNED,
     ExperimentConfig,
     _convert,
     emit_plot_data,
@@ -62,7 +61,7 @@ def test_from_file_applies_defaults(config_path):
     assert config.max_steps == 250
     assert config.max_queries is None
     assert config.eval_episodes == 20
-    assert config.alpha == 0.93
+    assert config.strategy_params["alpha"] == 0.93
     assert config.m_cal == 30
 
 
@@ -97,11 +96,54 @@ def test_set_overrides(config_path):
     ("experiment.workers=two", "experiment.workers: expected an integer, got 'two'"),
     ("experiment.m_values=5.5", "experiment.m_values: expected integers, got '5.5'"),
     ("budget.max_steps=lots", "budget.max_steps: expected an integer, got 'lots'"),
+    ("strategy.k=x", "strategy.k: expected an integer, got 'x'"),
+    ("strategy.rate=high", "strategy.rate: expected a number, got 'high'"),
+    ("train.batch_size=big", "train.batch_size: expected an integer, got 'big'"),
+    ("train.learning_rate=fast", "train.learning_rate: expected a number, got 'fast'"),
+    ("train.retrain_from_scratch=maybe",
+     "train.retrain_from_scratch: expected true or false, got 'maybe'"),
+    ("train.bc_epochs=2.5", "train.bc_epochs: expected an integer, got '2.5'"),
 ])
 def test_non_integer_value_names_section_and_key(config_path, override, message):
     with pytest.raises(ConfigurationError) as err:
         ExperimentConfig.from_file(config_path, overrides=[override])
     assert str(err.value) == message
+
+
+def test_valid_strategy_and_train_values_load_as_written(config_path):
+    config = ExperimentConfig.from_file(config_path, overrides=[
+        "strategy.tau=1", "strategy.rate=0.25", "strategy.backend=kdtree",
+        "train.retrain_from_scratch=True", "train.learning_rate=1e-3"])
+    assert config.strategy_params["tau"] == 1 and type(config.strategy_params["tau"]) is int
+    assert config.strategy_params["rate"] == 0.25
+    assert config.strategy_params["backend"] == "kdtree"
+    assert config.train_params["retrain_from_scratch"] is True
+    assert config.train_params["learning_rate"] == 1e-3
+
+
+@pytest.mark.parametrize("override, message", [
+    ("experiment.env=foo", "unknown environment kind: 'foo'"),
+    ("env.bogus=1", "unknown pendulum parameter 'bogus'"),
+    ("env.dt=-1", "dt and u_max must be positive"),
+    ("env.dt=fast", "pendulum parameter dt: expected a number, got 'fast'"),
+    ("env.t_max=1.5", "pendulum parameter t_max: expected an integer, got 1.5"),
+])
+def test_env_checked_at_load(config_path, override, message):
+    with pytest.raises(ConfigurationError) as err:
+        ExperimentConfig.from_file(config_path, overrides=[override])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("override", ["experiment.env=foo", "env.bogus=1", "env.dt=-1",
+                                      "env.dt=fast", "strategy.rate=high",
+                                      "train.retrain_from_scratch=maybe"])
+def test_cli_run_rejects_bad_env_and_typed_values_before_any_run(config_path, capsys, override):
+    assert main(["run", config_path, "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("crsail run: ")
+    config = ExperimentConfig.from_file(config_path)
+    assert not os.path.exists(config.output_dir)
 
 
 def test_strategy_k_checked_at_load(config_path):
@@ -156,7 +198,7 @@ def test_resolved_text_is_reparseable(config_path):
     again = ExperimentConfig.from_parser(parser)
     assert again.seeds == config.seeds
     assert again.max_steps == config.max_steps
-    assert again.alpha == config.alpha
+    assert again.strategy_params == config.strategy_params
 
 
 def test_run_grid_persists_records(config_path, tmp_path):
@@ -259,15 +301,43 @@ def test_cli_sweep_m_axis(config_path, tmp_path, capsys):
 ])
 def test_cli_sweep_checks_every_value_before_running(config_path, capsys, axis, values,
                                                      message):
-    assert main(["sweep", config_path, axis, values]) == 2
+    crsail = ["--set", "experiment.strategy=crsail"]  # a strategy that reads every axis
+    assert main(["sweep", config_path, axis, values, *crsail]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"crsail sweep: {message}\n"
     assert not os.path.exists(ExperimentConfig.from_file(config_path).output_dir)
 
 
+@pytest.mark.parametrize("strategy, axis", [
+    ("dagger", "alpha"), ("random-rate", "alpha"), ("fixed-threshold", "alpha"),
+    ("ensemble-variance", "alpha"), ("dagger", "K"), ("random-rate", "K"),
+    ("ensemble-variance", "K"),
+])
+def test_cli_sweep_rejects_an_axis_the_strategy_never_reads(config_path, capsys, strategy,
+                                                           axis):
+    argv = ["sweep", config_path, f"--{axis}", "0.5,0.9" if axis == "alpha" else "3,5",
+            "--set", f"experiment.strategy={strategy}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    name = axis.lower()
+    assert captured.out == ""
+    assert captured.err == f"crsail sweep: axis {name}: strategy {strategy} does not read {name}\n"
+    assert not os.path.exists(ExperimentConfig.from_file(config_path).output_dir)
+
+
+@pytest.mark.parametrize("strategy", ["crsail", "fixed-threshold"])
+def test_cli_sweep_k_on_novelty_strategies(config_path, capsys, strategy):
+    argv = ["sweep", config_path, "--K", "3,5", "--print-config",
+            "--set", f"experiment.strategy={strategy}"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "k = 3" in out and "k = 5" in out
+
+
 def test_cli_sweep_alpha_print_config(config_path, capsys):
-    assert main(["sweep", config_path, "--alpha", "0.5,0.9", "--print-config"]) == 0
+    assert main(["sweep", config_path, "--alpha", "0.5,0.9", "--print-config",
+                 "--set", "experiment.strategy=crsail"]) == 0
     out = capsys.readouterr().out
     assert "alpha = 0.5" in out and "alpha = 0.9" in out
 
@@ -293,7 +363,7 @@ def test_resolved_text_round_trips_every_field(tmp_path):
         env_overrides={"dt": 0.05}, m_cal=11, recalibrate_every=4,
         max_steps=None, max_queries=900,
         strategy_params={"alpha": 0.8, "k": 3, "rate": 0.25, "tau": 0.4, "tau_doubt": 0.2,
-                         "ensemble_size": 4, "backend": "kdtree", "standardize": False},
+                         "ensemble_size": 4, "backend": "kdtree"},
         train_params={"learning_rate": 0.02, "batch_size": 16, "bc_epochs": 9,
                       "update_epochs": 3, "init_scale": 0.2, "retrain_from_scratch": True},
     )
@@ -305,11 +375,11 @@ def test_resolved_text_round_trips_every_field(tmp_path):
     bare = ExperimentConfig(env="pendulum", strategy="dagger")
     assert _reparse(bare) == bare
     assert bare.make_strategy_config() == StrategyConfig("dagger")
-    assert bare.make_train_config(5) == TrainConfig(seed=5)
+    assert bare.make_train_config() == TrainConfig()
 
 
 def _settable(cls):
-    return [f for f in dataclasses.fields(cls) if f.name not in HARNESS_OWNED]
+    return [f for f in dataclasses.fields(cls) if f.name != "kind"]
 
 
 @pytest.mark.parametrize("section, cls", [("strategy", StrategyConfig), ("train", TrainConfig)])
@@ -319,12 +389,13 @@ def test_every_dataclass_field_is_a_config_key(config_path, section, cls):
         value = not default if isinstance(default, bool) else default
         config = ExperimentConfig.from_file(config_path, overrides=[f"{section}.{f.name}={value}"])
         built = config.make_strategy_config() if cls is StrategyConfig \
-            else config.make_train_config(0)
+            else config.make_train_config()
         assert getattr(built, f.name) == value, f.name
 
 
 @pytest.mark.parametrize("key", ["strategy.kind=dagger", "strategy.radius=1.0",
-                                 "train.seed=3", "train.hidden=32"])
+                                 "train.seed=3", "train.hidden=32",
+                                 "strategy.standardize=false"])
 def test_harness_owned_and_removed_keys_are_rejected(config_path, key):
     with pytest.raises(ConfigurationError, match="unknown config key"):
         ExperimentConfig.from_file(config_path, overrides=[key])
@@ -338,21 +409,23 @@ def test_ini_and_direct_configs_resolve_alike(config_path):
     assert ini.make_strategy_config().tau == 0.1
     assert ini.snapshot(100, 0)["strategy_params"] == direct.snapshot(100, 0)["strategy_params"]
     assert direct.snapshot(100, 0)["train_params"] == {
-        f.name: getattr(direct.make_train_config(0), f.name) for f in _settable(TrainConfig)}
+        f.name: getattr(direct.make_train_config(), f.name) for f in _settable(TrainConfig)}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_grid_notes_carry_traceback(tmp_path, workers):
-    config = ExperimentConfig(env="pendulum", strategy="dagger", seeds=[0, 1], m_values=[50],
+    # one-step episodes give one calibration score, too few for the quantile at alpha 0.01
+    config = ExperimentConfig(env="pendulum", strategy="crsail", seeds=[0, 1], m_values=[50],
                               output_dir=str(tmp_path), workers=workers, max_steps=50,
-                              env_overrides={"dt": -1.0})
+                              env_overrides={"t_max": 1}, m_cal=1,
+                              strategy_params={"alpha": 0.01})
     records, failures = run(config)
     assert records == []
     assert len(failures) == 2
     for note, seed in zip(failures, [0, 1]):
-        assert note.startswith(f"M=50 seed={seed}: dt and u_max must be positive")
+        assert note.startswith(f"M=50 seed={seed}: quantile index m=2 exceeds N_cal=1")
         assert "Traceback (most recent call last)" in note
-        assert "make_env" in note
+        assert "calibrate_radius" in note
 
 
 def test_load_records_reads_top_level_then_sweep_subdirectories(config_path):

@@ -113,7 +113,8 @@ def test_dimension_mismatch_rejected():
 
 def test_bc_fits_single_pair():
     dataset = ExpertDataset(np.array([[0.5, -0.5]]), np.array([[1.0]]))
-    policy = behavioral_cloning(dataset, TrainConfig(bc_epochs=500, batch_size=1, seed=0))
+    policy = behavioral_cloning(dataset, TrainConfig(bc_epochs=500, batch_size=1),
+                                np.random.default_rng(0))
     assert abs(policy.act(np.array([0.5, -0.5]))[0] - 1.0) < 1e-2
 
 
@@ -121,7 +122,7 @@ def test_bc_learns_linear_expert_on_double_integrator():
     env = make_env("double_integrator")
     expert = make_expert(env)
     dataset = build_initial_dataset(env, expert, 2000, 9)
-    policy = behavioral_cloning(dataset, TrainConfig(seed=0))
+    policy = behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(0))
     held_out = build_initial_dataset(env, expert, 300, 10)
     err = policy.forward(held_out.states) - held_out.actions
     assert float((err**2).sum(axis=1).mean()) < 1e-2
@@ -130,24 +131,24 @@ def test_bc_learns_linear_expert_on_double_integrator():
 def test_bc_is_deterministic():
     env = make_env("double_integrator")
     dataset = build_initial_dataset(env, make_expert(env), 200, 4)
-    p1 = behavioral_cloning(dataset.copy(), TrainConfig(seed=5))
-    p2 = behavioral_cloning(dataset.copy(), TrainConfig(seed=5))
+    p1 = behavioral_cloning(dataset.copy(), TrainConfig(), np.random.default_rng(5))
+    p2 = behavioral_cloning(dataset.copy(), TrainConfig(), np.random.default_rng(5))
     assert params_equal(p1, p2)
 
 
 def test_empty_dataset_rejected():
     empty = ExpertDataset(np.zeros((0, 2)), np.zeros((0, 1)))
     with pytest.raises(ConfigurationError):
-        behavioral_cloning(empty, TrainConfig())
+        behavioral_cloning(empty, TrainConfig(), np.random.default_rng(0))
 
 
 def test_update_does_not_blow_up_converged_loss():
     env = make_env("double_integrator")
     dataset = build_initial_dataset(env, make_expert(env), 500, 6)
-    config = TrainConfig(seed=1)
-    policy = behavioral_cloning(dataset, config)
+    config = TrainConfig()
+    policy = behavioral_cloning(dataset, config, np.random.default_rng(1))
     before, _ = loss_and_grad(policy, dataset.states, dataset.actions)
-    after_policy = update(policy, dataset, config)
+    after_policy = update(policy, dataset, config, np.random.default_rng(1))
     after, _ = loss_and_grad(after_policy, dataset.states, dataset.actions)
     assert after <= before * 1.10
 
@@ -156,7 +157,7 @@ def test_zero_epochs_disallowed():
     dataset = ExpertDataset(np.array([[0.0]]), np.array([[0.0]]))
     policy = MLPPolicy(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
     with pytest.raises(ConfigurationError):
-        update(policy, dataset, TrainConfig(), epochs=0)
+        update(policy, dataset, TrainConfig(), np.random.default_rng(0), epochs=0)
     with pytest.raises(ConfigurationError):
         TrainConfig(update_epochs=0)
 
@@ -164,8 +165,8 @@ def test_zero_epochs_disallowed():
 def test_update_replays_identically_with_shared_stream():
     env = make_env("double_integrator")
     dataset = build_initial_dataset(env, make_expert(env), 300, 8)
-    config = TrainConfig(seed=2)
-    base = behavioral_cloning(dataset, config)
+    config = TrainConfig()
+    base = behavioral_cloning(dataset, config, np.random.default_rng(2))
 
     rng_a = np.random.default_rng(77)
     twice = update(update(base, dataset, config, epochs=1, rng=rng_a),
@@ -180,8 +181,8 @@ def test_update_replays_identically_with_shared_stream():
 def test_training_loss_mostly_non_increasing():
     env = make_env("double_integrator")
     dataset = build_initial_dataset(env, make_expert(env), 500, 12)
-    config = TrainConfig(seed=3)
-    policy = behavioral_cloning(dataset, config)
+    config = TrainConfig()
+    policy = behavioral_cloning(dataset, config, np.random.default_rng(3))
     rng = np.random.default_rng(13)
     losses = [loss_and_grad(policy, dataset.states, dataset.actions)[0]]
     for _ in range(30):
@@ -194,15 +195,15 @@ def test_training_loss_mostly_non_increasing():
 def test_retrain_from_scratch_flag():
     env = make_env("double_integrator")
     dataset = build_initial_dataset(env, make_expert(env), 200, 4)
-    config = TrainConfig(seed=5, retrain_from_scratch=True)
-    warm = behavioral_cloning(dataset, TrainConfig(seed=5))
-    fresh = update(warm, dataset, config)
+    config = TrainConfig(retrain_from_scratch=True)
+    warm = behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(5))
+    fresh = update(warm, dataset, config, np.random.default_rng(5))
     # retraining ignores the incoming parameters entirely
-    assert params_equal(fresh, behavioral_cloning(dataset, TrainConfig(seed=5)))
+    assert params_equal(fresh, behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(5)))
 
 
 def test_standardizer_shared_between_dataset_and_policy():
     env = make_env("pendulum")
     dataset = build_initial_dataset(env, make_expert(env), 100, 3)
-    policy = behavioral_cloning(dataset, TrainConfig(bc_epochs=1, seed=0))
+    policy = behavioral_cloning(dataset, TrainConfig(bc_epochs=1), np.random.default_rng(0))
     assert policy.standardizer is dataset.standardizer

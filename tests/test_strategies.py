@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from crsail.core import Trajectory
 from crsail.dataset import ExpertDataset
 from crsail.exceptions import ConfigurationError
 from crsail.policy import MLPPolicy
-from crsail.strategies import QuerySet, StrategyConfig, label_queries, select_queries
+from crsail.strategies import READS, QuerySet, StrategyConfig, label_queries, select_queries
 
 
 def make_trajectory(states_1d):
@@ -45,8 +47,8 @@ def test_random_rate_extremes():
     traj = make_trajectory(np.arange(11.0))
     ds = dataset_1d([0.0])
     rng = np.random.default_rng(0)
-    none = select_queries(StrategyConfig("random-rate", rate=0.0), traj, ds, {"rng": rng})
-    full = select_queries(StrategyConfig("random-rate", rate=1.0), traj, ds, {"rng": rng})
+    none = select_queries(StrategyConfig("random-rate", rate=0.0), traj, ds, rng=rng)
+    full = select_queries(StrategyConfig("random-rate", rate=1.0), traj, ds, rng=rng)
     assert len(none) == 0
     assert np.array_equal(full.indices, np.arange(10))
 
@@ -61,7 +63,7 @@ def test_random_rate_matches_nominal_rate():
     traj = make_trajectory(np.arange(2001.0))
     rng = np.random.default_rng(1)
     qs = select_queries(StrategyConfig("random-rate", rate=0.3), traj,
-                        dataset_1d([0.0]), {"rng": rng})
+                        dataset_1d([0.0]), rng=rng)
     assert abs(len(qs) / 2000 - 0.3) < 0.05
 
 
@@ -69,7 +71,7 @@ def test_fixed_threshold_hand_example():
     # dataset {0, 1}; k=1 distances of visited states 0.0, 0.5, 2.0
     ds = dataset_1d([0.0, 1.0])
     traj = make_trajectory([0.0, 1.5, 3.0, 0.0])
-    cfg = StrategyConfig("fixed-threshold", k=1, tau=0.75, standardize=False)
+    cfg = StrategyConfig("fixed-threshold", k=1, tau=0.75)
     qs = select_queries(cfg, traj, ds)
     assert np.array_equal(qs.indices, [2])
     assert np.array_equal(qs.scores, [0.0, 0.5, 2.0])
@@ -86,8 +88,8 @@ def test_crsail_equals_fixed_threshold_at_same_cutoff():
     ds = ExpertDataset(rng.normal(size=(50, 2)), np.zeros((50, 1)))
     states = rng.normal(size=(31, 2))
     traj = Trajectory(states=states, actions=np.zeros((30, 1)), rewards=np.ones(30))
-    a = select_queries(StrategyConfig("crsail", k=3, radius=0.4, standardize=False), traj, ds)
-    b = select_queries(StrategyConfig("fixed-threshold", k=3, tau=0.4, standardize=False), traj, ds)
+    a = select_queries(StrategyConfig("crsail", k=3), traj, ds, radius=0.4)
+    b = select_queries(StrategyConfig("fixed-threshold", k=3, tau=0.4), traj, ds)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.scores, b.scores)
 
@@ -96,8 +98,7 @@ def test_crsail_strict_inequality_at_threshold():
     # a state exactly at the radius is NOT queried (score > R, not >=)
     ds = dataset_1d([0.0])
     traj = make_trajectory([1.0, 2.0, 0.0])
-    cfg = StrategyConfig("crsail", k=1, radius=1.0, standardize=False)
-    qs = select_queries(cfg, traj, ds)
+    qs = select_queries(StrategyConfig("crsail", k=1), traj, ds, radius=1.0)
     assert np.array_equal(qs.indices, [1])
 
 
@@ -105,10 +106,9 @@ def test_query_count_never_exceeds_length():
     rng = np.random.default_rng(3)
     ds = ExpertDataset(rng.normal(size=(20, 1)), np.zeros((20, 1)))
     traj = make_trajectory(rng.normal(size=15))
-    for cfg in (StrategyConfig("dagger"),
-                StrategyConfig("crsail", k=1, radius=0.0, standardize=False),
-                StrategyConfig("fixed-threshold", k=1, standardize=False)):
-        qs = select_queries(cfg, traj, ds)
+    for cfg in (StrategyConfig("dagger"), StrategyConfig("crsail", k=1),
+                StrategyConfig("fixed-threshold", k=1)):
+        qs = select_queries(cfg, traj, ds, radius=0.0)
         assert len(qs) <= traj.length
         assert qs.indices.dtype == np.int64
 
@@ -118,7 +118,7 @@ def test_ensemble_variance_zero_for_identical_members():
     ensemble = [policy.copy() for _ in range(5)]
     traj = make_trajectory([0.0, 0.5, 1.0])
     cfg = StrategyConfig("ensemble-variance", tau_doubt=0.0)
-    qs = select_queries(cfg, traj, dataset_1d([0.0]), {"ensemble": ensemble})
+    qs = select_queries(cfg, traj, dataset_1d([0.0]), ensemble=ensemble)
     assert len(qs) == 0  # zero doubt is not strictly above tau_doubt=0
 
 
@@ -127,8 +127,7 @@ def test_ensemble_variance_queries_where_members_disagree():
     disagree = MLPPolicy(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), np.ones(1))
     traj = make_trajectory([0.0, 1.0, 2.0])
     cfg = StrategyConfig("ensemble-variance", tau_doubt=0.1)
-    qs = select_queries(cfg, traj, dataset_1d([0.0]),
-                        {"ensemble": [agree, disagree]})
+    qs = select_queries(cfg, traj, dataset_1d([0.0]), ensemble=[agree, disagree])
     assert np.array_equal(qs.indices, [0, 1])
 
 
@@ -136,6 +135,23 @@ def test_ensemble_variance_requires_ensemble():
     traj = make_trajectory([0.0, 1.0])
     with pytest.raises(ConfigurationError):
         select_queries(StrategyConfig("ensemble-variance"), traj, dataset_1d([0.0]))
+
+
+def test_alpha_is_a_checked_strategy_field():
+    assert StrategyConfig("crsail").alpha == 0.93
+    for alpha in (0, 1, 1.5, -0.1):
+        with pytest.raises(ConfigurationError) as err:
+            StrategyConfig("dagger", alpha=alpha)
+        assert str(err.value) == f"alpha must lie in (0, 1), got {alpha}"
+
+
+def test_reads_names_strategy_fields_of_every_kind():
+    names = {f.name for f in dataclasses.fields(StrategyConfig)} - {"kind"}
+    for kind, read in READS.items():
+        StrategyConfig(kind)
+        assert set(read) <= names, kind
+    assert READS["crsail"] == ("alpha", "k", "backend")
+    assert "alpha" not in READS["fixed-threshold"]
 
 
 def test_unknown_kind_rejected():

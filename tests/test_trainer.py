@@ -21,18 +21,23 @@ from crsail.trainer import (
     queries_to_expert,
     train,
 )
-from helpers import params_equal
+from helpers import NoisyExpert, params_equal
 
-FAST = TrainConfig(bc_epochs=5, update_epochs=2, seed=0)
+FAST = TrainConfig(bc_epochs=5, update_epochs=2)
+
+
+def clone(dataset):
+    """The policy behavior-cloned on the dataset with FAST, on generator seed 0."""
+    return behavioral_cloning(dataset, FAST, np.random.default_rng(0))
 
 
 def small_run(strategy, budget=None, seed=0, env_kind="pendulum", **kwargs):
     env = make_env(env_kind)
     expert = make_expert(env)
     dataset = build_initial_dataset(env, expert, 200, seed)
-    policy = behavioral_cloning(dataset, FAST)
+    policy = clone(dataset)
     threshold = None
-    if strategy.kind == "crsail" and strategy.radius is None:
+    if strategy.kind == "crsail":
         threshold = calibrate_radius(env, policy, dataset, strategy.novelty_config(),
                                      alpha=0.9, m_cal=3, seed=seed + 50)
     budget = budget or Budget(max_steps=600)
@@ -98,7 +103,7 @@ def test_build_initial_dataset_rolls_out_no_extra_episode():
             return self.inner.act(state)
 
     # a noisy expert's generator advances once per call, so extra calls would shift it
-    ds = build_initial_dataset(env, CountingExpert(make_expert(env, noise_std=0.1)), 450, 5)
+    ds = build_initial_dataset(env, CountingExpert(NoisyExpert(make_expert(env), 0.1)), 450, 5)
     assert len(calls) == len(ds) == 600
 
 
@@ -128,7 +133,7 @@ def test_query_counts_bounded_by_episode_length():
 def test_crsail_without_threshold_rejected():
     env = make_env("pendulum")
     dataset = build_initial_dataset(env, make_expert(env), 50, 0)
-    policy = behavioral_cloning(dataset, FAST)
+    policy = clone(dataset)
     with pytest.raises(ConfigurationError):
         train(env, make_expert(env), dataset, policy, StrategyConfig("crsail"),
               Budget(max_steps=10), FAST, 0)
@@ -147,7 +152,7 @@ def test_train_does_not_mutate_inputs():
     env = make_env("pendulum")
     expert = make_expert(env)
     dataset = build_initial_dataset(env, expert, 100, 1)
-    policy = behavioral_cloning(dataset, FAST)
+    policy = clone(dataset)
     before_states = dataset.states.copy()
     params_before = policy.copy()
     train(env, expert, dataset, policy, StrategyConfig("dagger"),
@@ -231,7 +236,7 @@ def test_failure_messages_carry_iteration_index():
     env = make_env("pendulum")
     expert = make_expert(env)
     dataset = build_initial_dataset(env, expert, 100, 0)
-    policy = behavioral_cloning(dataset, FAST)
+    policy = clone(dataset)
     with pytest.raises(ValueError, match="iteration 0"):
         train(env, ExplodingExpert(), dataset, policy, StrategyConfig("dagger"),
               Budget(max_steps=300), FAST, 0)
@@ -259,7 +264,7 @@ def _initial(env_kind="pendulum", m=100):
     env = make_env(env_kind)
     expert = make_expert(env)
     dataset = build_initial_dataset(env, expert, m, 0)
-    return env, expert, dataset, behavioral_cloning(dataset, FAST)
+    return env, expert, dataset, clone(dataset)
 
 
 def test_failure_keeps_step_index_of_numerical_error():
