@@ -1,9 +1,13 @@
 """Episode rollout and policy evaluation.
 
 Environments expose `state_dim`, `action_dim`, `t_max`, `reset(rng)` and
-`step(state, action) -> (next_state, reward, terminal)`. Policies expose
-`act(state) -> action`. Rollouts are pure functions of (environment
-parameters, policy parameters, seed).
+`step(state, action) -> (next_state, reward, terminal)`, where `step` also
+takes a stack of states and actions, one row per episode, and gives each row
+the bits a one-row step would (a single reward or terminal flag stands for
+every row). Policies expose `act(state) -> action`; a
+policy whose `act` takes such a stack too says so with `acts_on_stacks =
+True`, and any other is called row by row. Rollouts are pure functions of
+(environment parameters, policy parameters, seed).
 """
 
 from __future__ import annotations
@@ -37,6 +41,63 @@ class Trajectory:
             raise ConfigurationError("trajectory must satisfy len(states) == len(actions) + 1")
 
 
+def _act(policy):
+    """`policy.act` over a stack of states: in one call if the policy takes stacks."""
+    if getattr(policy, "acts_on_stacks", False):
+        return policy.act
+    return lambda x: np.array(
+        [np.atleast_1d(np.asarray(policy.act(row), dtype=np.float64)) for row in x])
+
+
+def _check_finite(values: np.ndarray, live: np.ndarray, what: str, t: int) -> None:
+    """Raise for the first episode whose row of `values` is not all finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        episode = live[np.argmin(finite.all(axis=1))]
+        raise NumericalFailureError(f"non-finite {what} of episode {episode}", step_index=t)
+
+
+def _lockstep(env, policy, seeds) -> list[Trajectory]:
+    """One episode per seed, all stepped together on an (n, d) state block.
+
+    Row j of the block is episode `live[j]`. Each episode stops at its first
+    terminal state or at t_max, so its length L satisfies 1 <= L <= t_max;
+    a finished episode leaves the block, and until one does the block is
+    stepped as it is.
+    """
+    act = _act(policy)
+    x0 = np.array([env.reset(np.random.default_rng(s)) for s in seeds], dtype=np.float64)
+    live = np.arange(len(seeds))
+    _check_finite(x0, live, "initial state", 0)
+    x, steps = x0, []  # per step: (live, next states, actions, rewards)
+    for t in range(env.t_max):
+        u = act(x)
+        _check_finite(u, live, f"action at step {t}", t)
+        x, r, terminal = env.step(x, u)
+        x = np.asarray(x, dtype=np.float64)
+        _check_finite(x, live, f"state at step {t}", t)
+        r, terminal = np.asarray(r, dtype=np.float64), np.asarray(terminal)
+        if r.ndim == 0:  # one reward for every row
+            r = np.full(live.shape, r)
+        steps.append((live, x, u, r))
+        if terminal.any():
+            going = ~np.broadcast_to(terminal, live.shape)
+            if not going.any():
+                break
+            live, x = live[going], x[going]
+
+    # Regroup the step-major rows by episode, each episode's rows in step order.
+    owner = np.concatenate([step[0] for step in steps])
+    order = np.argsort(owner, kind="stable")
+    states, actions, rewards = (np.concatenate([step[k] for step in steps])[order]
+                                for k in (1, 2, 3))
+    lengths = np.bincount(owner, minlength=len(seeds))
+    ends = np.cumsum(lengths)
+    return [Trajectory(states=np.concatenate([x0[i:i + 1], states[end - n:end]]),
+                       actions=actions[end - n:end], rewards=rewards[end - n:end])
+            for i, (n, end) in enumerate(zip(lengths, ends))]
+
+
 def rollout(env, policy, seed) -> Trajectory:
     """Roll the policy out for one episode.
 
@@ -45,34 +106,18 @@ def rollout(env, policy, seed) -> Trajectory:
     tuple of ints or a numpy SeedSequence; all stochasticity (the initial
     state draw) comes from the resulting generator.
     """
-    rng = np.random.default_rng(seed)
-    x = np.asarray(env.reset(rng), dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise NumericalFailureError("non-finite initial state", step_index=0)
-    states = [x]
-    actions = []
-    rewards = []
-    for t in range(env.t_max):
-        u = np.atleast_1d(np.asarray(policy.act(x), dtype=np.float64))
-        if not np.all(np.isfinite(u)):
-            raise NumericalFailureError(f"non-finite action at step {t}", step_index=t)
-        x, r, terminal = env.step(x, u)
-        x = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(x)):
-            raise NumericalFailureError(f"non-finite state at step {t}", step_index=t)
-        states.append(x)
-        actions.append(u)
-        rewards.append(float(r))
-        if terminal:
-            break
-    return Trajectory(
-        states=np.array(states), actions=np.array(actions), rewards=np.array(rewards)
-    )
+    return _lockstep(env, policy, [seed])[0]
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
     """`seed` as a SeedSequence; one that already is one is returned as is."""
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+def _episode_seeds(seed, n_episodes: int) -> list[np.random.SeedSequence]:
+    if n_episodes < 1:
+        raise ConfigurationError("n_episodes must be >= 1")
+    return seed_sequence(seed).spawn(n_episodes)
 
 
 def rollouts(env, policy, seed, n_episodes: int) -> Iterator[Trajectory]:
@@ -81,10 +126,17 @@ def rollouts(env, policy, seed, n_episodes: int) -> Iterator[Trajectory]:
     Episode i runs on child i of `seed`, so a caller that stops drawing early
     sees the same episodes as one that draws them all.
     """
-    if n_episodes < 1:
-        raise ConfigurationError("n_episodes must be >= 1")
-    seed = seed_sequence(seed)
-    return (rollout(env, policy, seed.spawn(1)[0]) for _ in range(n_episodes))
+    return (rollout(env, policy, s) for s in _episode_seeds(seed, n_episodes))
+
+
+def lockstep_rollouts(env, policy, seed, n_episodes: int) -> list[Trajectory]:
+    """The episodes of `rollouts(env, policy, seed, n_episodes)`, bit for bit,
+    stepped together: one `act` and one `step` per time step for all of them.
+
+    A non-finite state or action raises `NumericalFailureError` with its step
+    index, naming the episode it happened in.
+    """
+    return _lockstep(env, policy, _episode_seeds(seed, n_episodes))
 
 
 def evaluate_policy(env, policy, n_episodes: int, seed) -> tuple[float, float]:
@@ -92,5 +144,6 @@ def evaluate_policy(env, policy, n_episodes: int, seed) -> tuple[float, float]:
 
     Evaluation rollouts never touch training budgets or the expert dataset.
     """
-    returns = np.array([t.episode_return for t in rollouts(env, policy, seed, n_episodes)])
+    returns = np.array([t.episode_return
+                        for t in lockstep_rollouts(env, policy, seed, n_episodes)])
     return float(returns.mean()), float(returns.std())

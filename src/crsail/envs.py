@@ -4,6 +4,10 @@ Three desk-scale tasks: an unstable inverted pendulum with early termination,
 a planar pushing task with randomized goals and a fixed horizon, and a double
 integrator with an LQR expert used as a sanity environment. Dynamics use
 fixed-step Euler integration so episodes replay exactly.
+
+Each `step` works over the last axis, so it takes one state (d,) or a stack
+(n, d), and each row of a stack gets the same bits as a step on that row
+alone. Experts act on one state.
 """
 
 from __future__ import annotations
@@ -14,13 +18,18 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from crsail.exceptions import ConfigurationError
+from crsail.exceptions import ConfigurationError, require_finite
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis; unlike `np.linalg.norm(v, axis=-1)`,
+    a row of a stack gets the same bits as the row alone."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def _cap_norm(v: np.ndarray, cap: float) -> np.ndarray:
-    """`v`, scaled down to norm `cap` if it is longer."""
-    norm = np.linalg.norm(v)
-    return v * (cap / norm) if norm > cap else v
+    """`v` (or each row of it), scaled down to norm `cap` if it is longer."""
+    return v * (cap / np.maximum(_norm(v), cap))[..., None]  # a shorter row is times 1.0
 
 
 @dataclass(kw_only=True)
@@ -32,6 +41,7 @@ class EnvParams:
     fixed_init: np.ndarray | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if self.dt <= 0:
             raise ConfigurationError("dt must be positive")
         if self.t_max < 1:
@@ -48,6 +58,15 @@ class Env:
 
     def __init__(self, params: EnvParams | None = None):
         self.params = params or self.Params()
+        given = self.params.fixed_init
+        if given is not None:
+            try:
+                init = np.asarray(given, dtype=np.float64)
+            except (TypeError, ValueError):
+                init = None
+            if init is None or init.shape != (self.state_dim,) or not np.isfinite(init).all():
+                raise ConfigurationError(
+                    f"fixed_init: expected {self.state_dim} finite numbers, got {given!r}")
 
     @property
     def t_max(self) -> int:
@@ -118,17 +137,17 @@ class Pendulum(Env):
 
     def step(self, state, action):
         p = self.params
-        theta, theta_dot = float(state[0]), float(state[1])
-        u = float(np.clip(action[0], -p.u_max, p.u_max))
+        theta, theta_dot = state[..., 0], state[..., 1]
+        u = np.asarray(action)[..., 0].clip(-p.u_max, p.u_max)
         theta_dot = theta_dot + p.dt * (
-            (p.g / p.length) * math.sin(theta)
+            (p.g / p.length) * np.sin(theta)
             + u / (p.mass * p.length**2)
             - p.damping * theta_dot
         )
         theta = theta + p.dt * theta_dot
-        terminal = abs(theta) > p.theta_fail
-        reward = 0.0 if terminal else 1.0
-        return np.array([theta, theta_dot]), reward, terminal
+        terminal = np.abs(theta) > p.theta_fail
+        next_state = np.concatenate([theta[..., None], theta_dot[..., None]], axis=-1)
+        return next_state, np.where(terminal, 0.0, 1.0), terminal
 
 
 @dataclass(kw_only=True)
@@ -217,15 +236,13 @@ class Pusher(Env):
 
     def step(self, state, action):
         p = self.params
-        agent, obj, goal = state[0:2], state[2:4], state[4:6]
+        agent, obj, goal = state[..., 0:2], state[..., 2:4], state[..., 4:6]
         move = p.dt * _cap_norm(np.asarray(action, dtype=np.float64), p.speed_cap)
         agent_next = agent + move
-        if np.linalg.norm(agent_next - obj) <= p.contact_radius:
-            obj_next = obj + p.push_gain * move
-        else:
-            obj_next = obj.copy()
-        reward = -float(np.linalg.norm(obj_next - goal))
-        return np.concatenate([agent_next, obj_next, goal]), reward, False
+        contact = _norm(agent_next - obj) <= p.contact_radius
+        obj_next = np.where(contact[..., None], obj + p.push_gain * move, obj)
+        reward = -_norm(obj_next - goal)
+        return np.concatenate([agent_next, obj_next, goal], axis=-1), reward, False
 
 
 @dataclass(kw_only=True)
@@ -291,12 +308,12 @@ class DoubleIntegrator(Env):
 
     def step(self, state, action):
         p = self.params
-        pos, vel = state[0:2], state[2:4]
+        pos, vel = state[..., 0:2], state[..., 2:4]
         a = _cap_norm(np.asarray(action, dtype=np.float64), p.accel_cap)
         pos_next = pos + p.dt * vel
         vel_next = vel + p.dt * a
-        reward = -float(pos_next @ pos_next + vel_next @ vel_next)
-        return np.concatenate([pos_next, vel_next]), reward, False
+        reward = -(np.vecdot(pos_next, pos_next) + np.vecdot(vel_next, vel_next))
+        return np.concatenate([pos_next, vel_next], axis=-1), reward, False
 
 
 # numeric params field type -> (the values it takes, what an error says they must be)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check of configs."""
+
+import math
+from dataclasses import fields
 
 
 class ConfigurationError(ValueError):
@@ -23,3 +26,15 @@ class InfeasibleCalibrationError(ValueError):
 
 class InvariantError(RuntimeError):
     """Internal bookkeeping disagrees with itself; this is a bug, not bad input."""
+
+
+def require_finite(config) -> None:
+    """Reject a NaN or infinite value in any float field of the dataclass `config`.
+
+    A NaN passes every range check (each comparison with it is false), so it
+    is caught here, before those checks run.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("float", float) and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value!r}")

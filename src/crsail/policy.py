@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from crsail.dataset import ExpertDataset, Standardizer
-from crsail.exceptions import ConfigurationError
+from crsail.exceptions import ConfigurationError, require_finite
 
 HIDDEN = 64  # hidden-layer width
 
@@ -27,6 +27,7 @@ class TrainConfig:
     retrain_from_scratch: bool = False
 
     def __post_init__(self):
+        require_finite(self)
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
         if self.batch_size < 1:
@@ -37,6 +38,8 @@ class TrainConfig:
 
 class MLPPolicy:
     """Deterministic policy u = W2 tanh(W1 z + b1) + b2 on standardized input z."""
+
+    acts_on_stacks = True  # `act` takes an (n, d) stack as well as one state
 
     def __init__(self, w1, b1, w2, b2, standardizer: Standardizer | None = None):
         self.w1 = np.asarray(w1, dtype=np.float64)
@@ -80,7 +83,19 @@ class MLPPolicy:
         return hidden @ self.w2.T + self.b2
 
     def act(self, state) -> np.ndarray:
-        return self.forward(np.asarray(state)[None, :])[0]
+        """The action for one state (d,), or one per row of a stack (n, d).
+
+        Each row is its own (1, d) product, so a row of a stack gets the same
+        bits as the row alone; `forward`'s one matmul over the batch does not
+        promise that.
+        """
+        z = self._standardize(np.asarray(state, dtype=np.float64))
+        if z.shape[-1] != self.state_dim:
+            raise ConfigurationError(
+                f"state dim {z.shape[-1]} does not match policy dim {self.state_dim}"
+            )
+        hidden = np.tanh(z[..., None, :] @ self.w1.T + self.b1)
+        return (hidden @ self.w2.T + self.b2)[..., 0, :]
 
     def copy(self) -> "MLPPolicy":
         return MLPPolicy(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),

@@ -13,7 +13,7 @@ import numpy as np
 
 from crsail.dataset import ExpertDataset
 from crsail.core import Trajectory
-from crsail.exceptions import ConfigurationError
+from crsail.exceptions import ConfigurationError, require_finite
 from crsail.novelty import NoveltyConfig, score_batch
 
 # The StrategyConfig fields each kind's query rule reads, besides its kind.
@@ -54,6 +54,7 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in READS:
             raise ConfigurationError(f"unknown strategy kind {self.kind!r}")
+        require_finite(self)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.k < 1:

@@ -9,6 +9,12 @@ def params_equal(a, b) -> bool:
                for name in ("w1", "b1", "w2", "b2"))
 
 
+def same_bits(a, b) -> bool:
+    """Whether two arrays have the same dtype, shape and bytes (so -0.0 != 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class ZeroPolicy:
     """Always outputs the zero action; baseline for expert certification."""
 

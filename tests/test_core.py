@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crsail.core import Trajectory, evaluate_policy, rollout
+from crsail.core import Trajectory, evaluate_policy, lockstep_rollouts, rollout
 from crsail.envs import (
     DoubleIntegratorParams,
     DoubleIntegrator,
@@ -10,8 +10,10 @@ from crsail.envs import (
     make_env,
     make_expert,
 )
+from crsail.dataset import Standardizer
 from crsail.exceptions import ConfigurationError, NumericalFailureError
-from helpers import ZeroPolicy
+from crsail.policy import MLPPolicy, TrainConfig
+from helpers import ZeroPolicy, same_bits
 
 
 class NanPolicy:
@@ -108,3 +110,97 @@ def test_evaluate_requires_positive_episodes():
 def test_trajectory_shape_invariant_enforced():
     with pytest.raises(ConfigurationError):
         Trajectory(states=np.zeros((3, 2)), actions=np.zeros((3, 1)), rewards=np.zeros(3))
+
+
+def _wild_policy(env, seed):
+    """An untrained MLP with large weights: pendulum episodes fail at many different steps."""
+    scale = Standardizer(mean=np.zeros(env.state_dim), std=np.full(env.state_dim, 0.3))
+    return MLPPolicy.initialize(env.state_dim, env.action_dim, TrainConfig(init_scale=1.0),
+                                np.random.default_rng(seed), scale)
+
+
+def _reference_rollout(env, policy, seed) -> Trajectory:
+    """One episode, one state at a time: the loop the lockstep one replaced."""
+    x = env.reset(np.random.default_rng(seed))
+    states, actions, rewards = [x], [], []
+    for _ in range(env.t_max):
+        u = np.atleast_1d(np.asarray(policy.act(x), dtype=np.float64))
+        x, r, terminal = env.step(x, u)
+        states.append(x)
+        actions.append(u)
+        rewards.append(float(r))
+        if terminal:
+            break
+    return Trajectory(np.array(states), np.array(actions), np.array(rewards))
+
+
+@pytest.mark.parametrize("kind", ["pendulum", "pusher", "double_integrator"])
+@pytest.mark.parametrize("who", ["mlp", "expert"])
+def test_lockstep_episodes_equal_one_episode_rollouts_bit_for_bit(kind, who):
+    env = make_env(kind)
+    policy = _wild_policy(env, 3) if who == "mlp" else make_expert(env)  # the expert: row by row
+    batch = lockstep_rollouts(env, policy, 11, 12)
+    children = np.random.SeedSequence(11).spawn(12)
+    for b, child in zip(batch, children, strict=True):
+        for alone in (rollout(env, policy, child), _reference_rollout(env, policy, child)):
+            assert same_bits(b.states, alone.states)
+            assert same_bits(b.actions, alone.actions)
+            assert same_bits(b.rewards, alone.rewards)
+    if kind == "pendulum" and who == "mlp":
+        assert len({t.length for t in batch}) >= 4  # episodes leave the block at different steps
+
+
+class GoesNaNInOneEpisode:
+    """Pushes right at full speed; the action turns NaN once the agent of the episode
+    with goal x-coordinate `goal_x` is more than 0.25 right of where it started."""
+
+    acts_on_stacks = True
+
+    def __init__(self, goal_x, start_x):
+        self.goal_x, self.start_x = goal_x, start_x
+
+    def act(self, state):
+        action = np.zeros(np.shape(state)[:-1] + (2,))
+        action[..., 0] = 1.0
+        action[(state[..., 4] == self.goal_x) & (state[..., 0] > self.start_x + 0.25)] = np.nan
+        return action
+
+
+class GoesNaNRowByRow(GoesNaNInOneEpisode):
+    acts_on_stacks = False
+
+
+@pytest.mark.parametrize("policy_cls", [GoesNaNInOneEpisode, GoesNaNRowByRow])
+def test_non_finite_action_in_one_episode_names_the_episode_and_step(policy_cls):
+    env = make_env("pusher")
+    start = rollout(env, ZeroPolicy(2), np.random.SeedSequence(8).spawn(5)[2]).states[0]
+    policy = policy_cls(goal_x=start[4], start_x=start[0])
+    for call in (lambda: lockstep_rollouts(env, policy, 8, 5),
+                 lambda: evaluate_policy(env, policy, 5, 8)):
+        with pytest.raises(NumericalFailureError,
+                           match=r"^non-finite action at step 3 of episode 2$") as err:
+            call()
+        assert err.value.step_index == 3
+    assert lockstep_rollouts(env, policy, 8, 2)[1].length == env.t_max  # the others run on
+
+
+def test_non_finite_state_names_the_first_episode_to_fail():
+    class Drifts(DummyZeroRewardEnv):
+        """Drifts up by 0.5 a step from a random start; a state above 1 steps to inf."""
+
+        def reset(self, rng):
+            return np.array([rng.uniform()])
+
+        def step(self, state, action):
+            return np.where(state > 1.0, np.inf, state + 0.5), 0.0, False
+
+    env, policy = Drifts(), ZeroPolicy(1)
+    failures = []
+    for i, child in enumerate(np.random.SeedSequence(1).spawn(4)):
+        with pytest.raises(NumericalFailureError) as err:
+            rollout(env, policy, child)
+        failures.append((err.value.step_index, i))
+    step, episode = min(failures)  # the earliest step; on a tie, the first episode
+    with pytest.raises(NumericalFailureError,
+                       match=f"^non-finite state at step {step} of episode {episode}$"):
+        lockstep_rollouts(env, policy, 1, 4)

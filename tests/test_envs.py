@@ -19,7 +19,7 @@ from crsail.envs import (
     make_expert,
 )
 from crsail.exceptions import ConfigurationError
-from helpers import ZeroPolicy
+from helpers import ZeroPolicy, same_bits
 
 
 def test_pendulum_equilibrium_is_fixed_point():
@@ -195,3 +195,46 @@ def test_make_env_names_unknown_and_non_numeric_params():
     with pytest.raises(ConfigurationError, match="t_max: expected an integer, got True"):
         make_env("double_integrator", t_max=True)
     assert make_env("pendulum", dt=np.float64(0.01), t_max=np.int64(5)).t_max == 5
+
+
+def _stack(env, rng, n=400):
+    """Random states and actions, with zero actions, oversized ones and (pusher) contacts."""
+    states = rng.normal(scale=1.0, size=(n, env.state_dim))
+    actions = rng.normal(scale=2.0, size=(n, env.action_dim))
+    actions[::7] = 0.0
+    actions[1::7] *= 100.0
+    if env.state_dim == 6:  # agent next to the object in every other row
+        states[::2, 2:4] = states[::2, 0:2] + rng.uniform(-0.2, 0.2, size=(n // 2, 2))
+    return states, actions
+
+
+@pytest.mark.parametrize("kind", ["pendulum", "pusher", "double_integrator"])
+def test_step_on_a_stack_equals_step_row_by_row(kind):
+    env = make_env(kind)
+    states, actions = _stack(env, np.random.default_rng(4))
+    with np.errstate(all="raise"):  # a zero-norm row must not divide by zero
+        nxt, reward, terminal = env.step(states, actions)
+        rows = [env.step(x, u) for x, u in zip(states, actions)]
+    terminal = np.broadcast_to(terminal, reward.shape)
+    assert same_bits(nxt, np.array([r[0] for r in rows]))
+    assert same_bits(reward, np.array([r[1] for r in rows]))
+    assert np.array_equal(terminal, [r[2] for r in rows])
+    if kind == "pendulum":
+        assert 0 < terminal.sum() < len(terminal)
+
+
+@pytest.mark.parametrize("fixed_init", [1.0, [0.1, 0.2, 0.3], [0.1, np.nan], "0.1,0.2",
+                                        [[0.1], 0.2], [[0.1, 0.2]]])
+def test_fixed_init_must_be_state_dim_finite_numbers(fixed_init):
+    with pytest.raises(ConfigurationError, match="fixed_init: expected 2 finite numbers"):
+        make_env("pendulum", fixed_init=fixed_init)
+    assert make_env("pendulum", fixed_init=[0.1, 0.2]).reset(None).tolist() == [0.1, 0.2]
+
+
+@pytest.mark.parametrize("kind, name", [("pendulum", "dt"), ("pendulum", "g"),
+                                        ("pusher", "contact_radius"), ("pusher", "dt"),
+                                        ("double_integrator", "vel_range")])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_params_rejected(kind, name, value):
+    with pytest.raises(ConfigurationError):
+        make_env(kind, **{name: value})

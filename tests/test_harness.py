@@ -146,6 +146,23 @@ def test_cli_run_rejects_bad_env_and_typed_values_before_any_run(config_path, ca
     assert not os.path.exists(config.output_dir)
 
 
+@pytest.mark.parametrize("override, message", [
+    ("train.learning_rate=nan", "learning_rate must be finite, got nan"),
+    ("train.init_scale=nan", "init_scale must be finite, got nan"),
+    ("strategy.tau=nan", "tau must be finite, got nan"),
+    ("strategy.tau_doubt=inf", "tau_doubt must be finite, got inf"),
+    ("env.dt=nan", "dt must be finite, got nan"),
+    ("env.fixed_init=1", "fixed_init: expected 2 finite numbers, got 1"),
+])
+def test_cli_run_rejects_non_finite_values_and_a_scalar_fixed_init(config_path, capsys,
+                                                                   override, message):
+    assert main(["run", config_path, "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"crsail run: {message}\n"
+    assert not os.path.exists(ExperimentConfig.from_file(config_path).output_dir)
+
+
 def test_strategy_k_checked_at_load(config_path):
     for strategy in ("crsail", "dagger"):
         with pytest.raises(ConfigurationError, match="k must be >= 1"):

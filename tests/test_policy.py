@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from crsail.core import rollout
-from crsail.dataset import ExpertDataset
+from crsail.dataset import ExpertDataset, Standardizer
 from crsail.envs import make_env, make_expert
 from crsail.exceptions import ConfigurationError
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, loss_and_grad, update
 from crsail.trainer import build_initial_dataset
-from helpers import params_equal
+from helpers import params_equal, same_bits
 
 
 def random_policy(rng, d=3, a=2, hidden=8):
@@ -207,3 +207,22 @@ def test_standardizer_shared_between_dataset_and_policy():
     dataset = build_initial_dataset(env, make_expert(env), 100, 3)
     policy = behavioral_cloning(dataset, TrainConfig(bc_epochs=1), np.random.default_rng(0))
     assert policy.standardizer is dataset.standardizer
+
+
+@pytest.mark.parametrize("d, a", [(2, 1), (4, 2), (6, 2)])
+def test_act_on_a_stack_equals_act_row_by_row(d, a):
+    rng = np.random.default_rng(d)
+    scale = Standardizer(mean=rng.normal(size=d), std=rng.uniform(0.5, 2.0, size=d))
+    policy = MLPPolicy.initialize(d, a, TrainConfig(init_scale=0.5), rng, scale)
+    states = rng.normal(scale=2.0, size=(2000, d))
+    stacked = policy.act(states)
+    assert stacked.shape == (2000, a)
+    assert same_bits(stacked, np.array([policy.act(x) for x in states]))
+    assert same_bits(policy.act(states[0]), policy.forward(states[:1])[0])  # one row: one matmul
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "init_scale"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_train_values_rejected(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})

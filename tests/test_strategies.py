@@ -181,3 +181,10 @@ def test_label_queries_empty_and_out_of_range():
     assert states.shape == (0, 1) and len(actions) == 0
     with pytest.raises(ConfigurationError):
         label_queries(ConstantExpert(0.0), traj, QuerySet(np.array([2])))  # length is 2
+
+
+@pytest.mark.parametrize("name", ["alpha", "rate", "tau", "tau_doubt"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_strategy_values_rejected(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        StrategyConfig("fixed-threshold", **{name: value})
