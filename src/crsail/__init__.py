@@ -16,7 +16,7 @@ from crsail.exceptions import (
     NumericalFailureError,
 )
 from crsail.dataset import ExpertDataset, Standardizer
-from crsail.core import Trajectory, rollout, evaluate_policy
+from crsail.core import Trajectory, episode_seeds, evaluate_policy, rollout, rollouts
 from crsail.envs import (
     DoubleIntegrator,
     DoubleIntegratorParams,

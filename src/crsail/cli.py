@@ -14,6 +14,7 @@ from crsail.harness import (
     emit_plot_data,
     format_summary_text,
     load_records,
+    parse_value,
     run,
     summarize,
     write_summary_csv,
@@ -53,15 +54,11 @@ def _cmd_sweep(args) -> int:
     name, raw = chosen[0]
     if name != "m" and name not in READS[config.strategy]:
         raise ConfigurationError(f"axis {name}: strategy {config.strategy} does not read {name}")
-    cast = float if name == "alpha" else int
+    kind = "float" if name == "alpha" else "int"
     base_outdir = config.output_dir
     points = []  # (value as given, its config); every point is checked before any runs
     for val in [tok.strip() for tok in raw.split(",") if tok.strip()]:
-        try:
-            value = cast(val)
-        except ValueError:
-            expected = "a number" if cast is float else "an integer"
-            raise ConfigurationError(f"axis {name}: expected {expected}, got {val!r}") from None
+        value = parse_value(f"axis {name}", kind, val)
         change = {"m_values": [value]} if name == "m" else \
             {"strategy_params": {**config.strategy_params, name: value}}
         points.append((val, replace(config, output_dir=os.path.join(base_outdir, f"{name}_{val}"),

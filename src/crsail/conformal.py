@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from crsail.core import lockstep_rollouts
+from crsail.core import episode_seeds, rollouts
 from crsail.dataset import ExpertDataset
 from crsail.exceptions import ConfigurationError, InfeasibleCalibrationError
 from crsail.novelty import NoveltyConfig, score_batch
@@ -32,7 +32,8 @@ class CalibratedThreshold:
 def collect_calibration(env, policy, m_cal: int, seed) -> np.ndarray:
     """The multiset of non-final states that m_cal seeded rollouts of the frozen
     policy visit, as one array; no expert labels."""
-    return np.concatenate([t.states[:-1] for t in lockstep_rollouts(env, policy, seed, m_cal)])
+    trajectories = rollouts(env, policy, episode_seeds(seed, m_cal))
+    return np.concatenate([t.states[:-1] for t in trajectories])
 
 
 def quantile_index(n: int, alpha: float) -> int:

@@ -4,15 +4,19 @@ Environments expose `state_dim`, `action_dim`, `t_max`, `reset(rng)` and
 `step(state, action) -> (next_state, reward, terminal)`, where `step` also
 takes a stack of states and actions, one row per episode, and gives each row
 the bits a one-row step would (a single reward or terminal flag stands for
-every row). Policies expose `act(state) -> action`; a
-policy whose `act` takes such a stack too says so with `acts_on_stacks =
-True`, and any other is called row by row. Rollouts are pure functions of
-(environment parameters, policy parameters, seed).
+every row). Policies and experts expose `act(state) -> action`; one whose
+`act` takes such a stack too says so with `acts_on_stacks = True`, and `act`
+here calls any other row by row.
+
+`rollouts(env, policy, seeds)` runs every episode: one per seed, stepped
+together. `episode_seeds(seed, n)` gives the seeds of n episodes, so episode
+i of any multi-episode call runs on child i of its seed, and `rollout` is
+the one-episode case. Rollouts are pure functions of (environment
+parameters, policy parameters, seed).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +45,13 @@ class Trajectory:
             raise ConfigurationError("trajectory must satisfy len(states) == len(actions) + 1")
 
 
-def _act(policy):
-    """`policy.act` over a stack of states: in one call if the policy takes stacks."""
+def act(policy, states: np.ndarray) -> np.ndarray:
+    """`policy.act` over a stack of states, one action row per state: in one call
+    if the policy takes stacks, else row by row in stack order."""
     if getattr(policy, "acts_on_stacks", False):
-        return policy.act
-    return lambda x: np.array(
-        [np.atleast_1d(np.asarray(policy.act(row), dtype=np.float64)) for row in x])
+        return policy.act(states)
+    return np.array([np.atleast_1d(np.asarray(policy.act(row), dtype=np.float64))
+                     for row in states])
 
 
 def _check_finite(values: np.ndarray, live: np.ndarray, what: str, t: int) -> None:
@@ -57,21 +62,22 @@ def _check_finite(values: np.ndarray, live: np.ndarray, what: str, t: int) -> No
         raise NumericalFailureError(f"non-finite {what} of episode {episode}", step_index=t)
 
 
-def _lockstep(env, policy, seeds) -> list[Trajectory]:
-    """One episode per seed, all stepped together on an (n, d) state block.
+def rollouts(env, policy, seeds) -> list[Trajectory]:
+    """One episode per seed (an int, a tuple of ints or a SeedSequence; the
+    initial state is drawn from its generator), all stepped together on an
+    (n, d) state block, each episode with the bits it gets alone.
 
     Row j of the block is episode `live[j]`. Each episode stops at its first
-    terminal state or at t_max, so its length L satisfies 1 <= L <= t_max;
-    a finished episode leaves the block, and until one does the block is
-    stepped as it is.
+    terminal state or at t_max, so its length L satisfies 1 <= L <= t_max,
+    and then leaves the block. A non-finite state or action raises
+    `NumericalFailureError` with its step index, naming the episode.
     """
-    act = _act(policy)
     x0 = np.array([env.reset(np.random.default_rng(s)) for s in seeds], dtype=np.float64)
     live = np.arange(len(seeds))
     _check_finite(x0, live, "initial state", 0)
     x, steps = x0, []  # per step: (live, next states, actions, rewards)
     for t in range(env.t_max):
-        u = act(x)
+        u = act(policy, x)
         _check_finite(u, live, f"action at step {t}", t)
         x, r, terminal = env.step(x, u)
         x = np.asarray(x, dtype=np.float64)
@@ -99,14 +105,8 @@ def _lockstep(env, policy, seeds) -> list[Trajectory]:
 
 
 def rollout(env, policy, seed) -> Trajectory:
-    """Roll the policy out for one episode.
-
-    Stops at the first terminal state or at t_max, whichever comes first, so
-    the episode length L satisfies 1 <= L <= t_max. `seed` may be an int, a
-    tuple of ints or a numpy SeedSequence; all stochasticity (the initial
-    state draw) comes from the resulting generator.
-    """
-    return _lockstep(env, policy, [seed])[0]
+    """The one-episode case of `rollouts`."""
+    return rollouts(env, policy, [seed])[0]
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
@@ -114,29 +114,11 @@ def seed_sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
-def _episode_seeds(seed, n_episodes: int) -> list[np.random.SeedSequence]:
+def episode_seeds(seed, n_episodes: int) -> list[np.random.SeedSequence]:
+    """The seeds of `n_episodes` episodes: episode i runs on child i of `seed`."""
     if n_episodes < 1:
         raise ConfigurationError("n_episodes must be >= 1")
     return seed_sequence(seed).spawn(n_episodes)
-
-
-def rollouts(env, policy, seed, n_episodes: int) -> Iterator[Trajectory]:
-    """`n_episodes` seeded episodes, each rolled out when it is drawn.
-
-    Episode i runs on child i of `seed`, so a caller that stops drawing early
-    sees the same episodes as one that draws them all.
-    """
-    return (rollout(env, policy, s) for s in _episode_seeds(seed, n_episodes))
-
-
-def lockstep_rollouts(env, policy, seed, n_episodes: int) -> list[Trajectory]:
-    """The episodes of `rollouts(env, policy, seed, n_episodes)`, bit for bit,
-    stepped together: one `act` and one `step` per time step for all of them.
-
-    A non-finite state or action raises `NumericalFailureError` with its step
-    index, naming the episode it happened in.
-    """
-    return _lockstep(env, policy, _episode_seeds(seed, n_episodes))
 
 
 def evaluate_policy(env, policy, n_episodes: int, seed) -> tuple[float, float]:
@@ -145,5 +127,5 @@ def evaluate_policy(env, policy, n_episodes: int, seed) -> tuple[float, float]:
     Evaluation rollouts never touch training budgets or the expert dataset.
     """
     returns = np.array([t.episode_return
-                        for t in lockstep_rollouts(env, policy, seed, n_episodes)])
+                        for t in rollouts(env, policy, episode_seeds(seed, n_episodes))])
     return float(returns.mean()), float(returns.std())

@@ -50,9 +50,9 @@ _TYPES = {"list[int]": ((int,), "integers"), "int": ((int,), "an integer"),
           "float": ((int, float), "a number"), "bool": ((bool,), "true or false")}
 
 
-def _parse(key: str, kind: str, text: str):
-    """The value of config key `key` (section.key) by its field's type, read as `_convert`
-    reads it, so an integer literal in a float field stays an int."""
+def parse_value(key: str, kind: str, text: str):
+    """The value of `key` (a config key section.key, or a sweep axis) by its field's type,
+    read as `_convert` reads it, so an integer literal in a float field stays an int."""
     text = text.strip()
     if kind == "str":
         return text
@@ -150,7 +150,7 @@ class ExperimentConfig:
                 if holder.type == "dict" and val.strip() == "":
                     continue  # an empty value keeps the default
                 if key in types:
-                    values[key] = _parse(f"{section}.{key}", types[key], val)
+                    values[key] = parse_value(f"{section}.{key}", types[key], val)
                 elif holder.type == "dict":  # an [env] key, or one __post_init__ rejects
                     values[key] = _convert(val)
                 else:

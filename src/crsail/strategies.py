@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from crsail.dataset import ExpertDataset
-from crsail.core import Trajectory
+from crsail.core import Trajectory, act
 from crsail.exceptions import ConfigurationError, require_finite
 from crsail.novelty import NoveltyConfig, score_batch
 
@@ -111,7 +111,8 @@ def select_queries(strategy: StrategyConfig, trajectory: Trajectory, dataset: Ex
 
 
 def label_queries(expert, trajectory: Trajectory, queries: QuerySet):
-    """One expert label per queried index, from the stored states.
+    """One expert label per queried index, from the stored states, asked for
+    through `core.act` (one call if the expert takes stacks, else one per row).
 
     Returns (states, actions) arrays; repeated states yield repeated entries
     (multiset semantics).
@@ -122,5 +123,4 @@ def label_queries(expert, trajectory: Trajectory, queries: QuerySet):
     if queries.indices.min() < 0 or queries.indices.max() >= trajectory.length:
         raise ConfigurationError("query indices out of range")
     states = trajectory.states[queries.indices]
-    actions = np.array([np.atleast_1d(expert.act(x)) for x in states])
-    return states, actions
+    return states, act(expert, states)

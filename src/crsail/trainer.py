@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from crsail.conformal import CalibratedThreshold, calibrate_radius
-from crsail.core import evaluate_policy, rollout, rollouts, seed_sequence
+from crsail.core import episode_seeds, evaluate_policy, rollout, rollouts, seed_sequence
 from crsail.dataset import ExpertDataset
 from crsail.exceptions import ConfigurationError, InvariantError
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, update
@@ -48,7 +48,11 @@ def write_csv(path, header, rows) -> None:
 
 @dataclass
 class Budget:
-    """Caps on expert labels and environment steps; None means unbounded."""
+    """Caps on expert labels and environment steps; None means unbounded.
+
+    A queries-only budget also ends after `max_queries` episodes, so a run
+    whose query rate falls to 0 still stops.
+    """
 
     max_queries: int | None = None
     max_steps: int | None = None
@@ -57,12 +61,12 @@ class Budget:
         if self.max_queries is None and self.max_steps is None:
             raise ConfigurationError("at least one of max_queries/max_steps must be finite")
 
-    def exhausted(self, queries: int, steps: int) -> bool:
+    def exhausted(self, queries: int, steps: int, episodes: int) -> bool:
         if self.max_queries is not None and queries >= self.max_queries:
             return True
-        if self.max_steps is not None and steps >= self.max_steps:
-            return True
-        return False
+        if self.max_steps is None:
+            return episodes >= self.max_queries
+        return steps >= self.max_steps
 
 
 @dataclass
@@ -142,17 +146,23 @@ class RunRecord:
 
 
 def build_initial_dataset(env, expert, m: int, seed) -> ExpertDataset:
-    """Concatenate whole expert rollouts until at least m pairs are collected."""
+    """Concatenate whole expert episodes, episode i on child i of the seed,
+    until at least m pairs are collected.
+
+    The episodes are stepped in batches of the next ceil((m - total) / t_max):
+    an episode adds at most t_max pairs, so only the last of a batch can reach
+    m, and no episode past the one that does is rolled out.
+    """
     if m < 1:
         raise ConfigurationError("m must be >= 1")
-    states, actions, total = [], [], 0
-    for traj in rollouts(env, expert, seed, m):  # each episode adds at least one pair
-        states.append(traj.states[:-1])
-        actions.append(traj.actions)
-        total += traj.length
-        if total >= m:
-            break
-    return ExpertDataset(np.concatenate(states), np.concatenate(actions))
+    seeds, trajectories, total = episode_seeds(seed, m), [], 0  # each episode adds >= 1 pair
+    while total < m:
+        start = len(trajectories)  # then ceil((m - total) / t_max) more episodes
+        batch = rollouts(env, expert, seeds[start:start - (total - m) // env.t_max])
+        trajectories += batch
+        total += sum(t.length for t in batch)
+    return ExpertDataset(np.concatenate([t.states[:-1] for t in trajectories]),
+                         np.concatenate([t.actions for t in trajectories]))
 
 
 def _train_ensemble(dataset: ExpertDataset, config: TrainConfig, size: int,
@@ -198,7 +208,7 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
     )
 
     i, steps, queries = 0, 0, 0
-    while not budget.exhausted(queries, steps):
+    while not budget.exhausted(queries, steps, i):
         t0 = time.perf_counter()
         try:
             traj = rollout(env, policy, rollout_ss.spawn(1)[0])

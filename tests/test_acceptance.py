@@ -246,10 +246,11 @@ def test_criterion_5_training_loop_invariants(capsys):
             ok = False
             notes.append(f"trial {trial}: steps_cum mismatch")
         # entry-checked budget: exhausted at exit, not before the last episode
-        if not budget.exhausted(eps[-1].queries_cum, eps[-1].steps_cum):
+        if not budget.exhausted(eps[-1].queries_cum, eps[-1].steps_cum, len(eps)):
             ok = False
             notes.append(f"trial {trial}: exited with budget left")
-        if len(eps) > 1 and budget.exhausted(eps[-2].queries_cum, eps[-2].steps_cum):
+        if len(eps) > 1 and budget.exhausted(eps[-2].queries_cum, eps[-2].steps_cum,
+                                             len(eps) - 1):
             ok = False
             notes.append(f"trial {trial}: ran past an exhausted budget")
         if kind == "dagger" and queries != lengths:

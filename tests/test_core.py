@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crsail.core import Trajectory, evaluate_policy, lockstep_rollouts, rollout
+from crsail.core import Trajectory, episode_seeds, evaluate_policy, rollout, rollouts
 from crsail.envs import (
     DoubleIntegratorParams,
     DoubleIntegrator,
@@ -139,7 +139,7 @@ def _reference_rollout(env, policy, seed) -> Trajectory:
 def test_lockstep_episodes_equal_one_episode_rollouts_bit_for_bit(kind, who):
     env = make_env(kind)
     policy = _wild_policy(env, 3) if who == "mlp" else make_expert(env)  # the expert: row by row
-    batch = lockstep_rollouts(env, policy, 11, 12)
+    batch = rollouts(env, policy, episode_seeds(11, 12))
     children = np.random.SeedSequence(11).spawn(12)
     for b, child in zip(batch, children, strict=True):
         for alone in (rollout(env, policy, child), _reference_rollout(env, policy, child)):
@@ -175,13 +175,13 @@ def test_non_finite_action_in_one_episode_names_the_episode_and_step(policy_cls)
     env = make_env("pusher")
     start = rollout(env, ZeroPolicy(2), np.random.SeedSequence(8).spawn(5)[2]).states[0]
     policy = policy_cls(goal_x=start[4], start_x=start[0])
-    for call in (lambda: lockstep_rollouts(env, policy, 8, 5),
+    for call in (lambda: rollouts(env, policy, episode_seeds(8, 5)),
                  lambda: evaluate_policy(env, policy, 5, 8)):
         with pytest.raises(NumericalFailureError,
                            match=r"^non-finite action at step 3 of episode 2$") as err:
             call()
         assert err.value.step_index == 3
-    assert lockstep_rollouts(env, policy, 8, 2)[1].length == env.t_max  # the others run on
+    assert rollouts(env, policy, episode_seeds(8, 2))[1].length == env.t_max  # the others run on
 
 
 def test_non_finite_state_names_the_first_episode_to_fail():
@@ -203,4 +203,4 @@ def test_non_finite_state_names_the_first_episode_to_fail():
     step, episode = min(failures)  # the earliest step; on a tie, the first episode
     with pytest.raises(NumericalFailureError,
                        match=f"^non-finite state at step {step} of episode {episode}$"):
-        lockstep_rollouts(env, policy, 1, 4)
+        rollouts(env, policy, episode_seeds(1, 4))

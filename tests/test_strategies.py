@@ -183,6 +183,30 @@ def test_label_queries_empty_and_out_of_range():
         label_queries(ConstantExpert(0.0), traj, QuerySet(np.array([2])))  # length is 2
 
 
+class RecordingExpert(EchoExpert):
+    """Records the argument of each `act` call."""
+
+    def __init__(self, acts_on_stacks):
+        self.acts_on_stacks = acts_on_stacks
+        self.calls = []
+
+    def act(self, state):
+        self.calls.append(np.array(state))
+        return state[..., :1] if self.acts_on_stacks else super().act(state)
+
+
+@pytest.mark.parametrize("acts_on_stacks", [True, False])
+def test_label_queries_asks_a_stack_expert_once_and_any_other_row_by_row(acts_on_stacks):
+    traj = make_trajectory([3.0, 1.0, 4.0, 1.5, 9.0])
+    expert = RecordingExpert(acts_on_stacks)
+    states, actions = label_queries(expert, traj, QuerySet(np.array([0, 2, 3])))
+    assert np.array_equal(actions, [[3.0], [4.0], [1.5]])
+    if acts_on_stacks:
+        assert len(expert.calls) == 1 and np.array_equal(expert.calls[0], states)
+    else:
+        assert [c.tolist() for c in expert.calls] == [[3.0], [4.0], [1.5]]
+
+
 @pytest.mark.parametrize("name", ["alpha", "rate", "tau", "tau_doubt"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_strategy_values_rejected(name, value):

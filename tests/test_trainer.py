@@ -1,4 +1,5 @@
 import csv
+import signal
 from dataclasses import asdict
 
 import numpy as np
@@ -21,7 +22,7 @@ from crsail.trainer import (
     queries_to_expert,
     train,
 )
-from helpers import NoisyExpert, params_equal
+from helpers import NoisyExpert, ZeroPolicy, params_equal, same_bits
 
 FAST = TrainConfig(bc_epochs=5, update_epochs=2)
 
@@ -49,10 +50,34 @@ def test_budget_validation_and_exhaustion():
     with pytest.raises(ConfigurationError):
         Budget()
     b = Budget(max_queries=10, max_steps=100)
-    assert not b.exhausted(9, 99)
-    assert b.exhausted(10, 0)
-    assert b.exhausted(0, 100)
-    assert Budget(max_queries=5).exhausted(5, 10**9) is True
+    assert not b.exhausted(9, 99, 0)
+    assert b.exhausted(10, 0, 0)
+    assert b.exhausted(0, 100, 0)
+    assert Budget(max_queries=5).exhausted(5, 10**9, 0) is True
+
+
+def test_queries_only_budget_ends_after_max_queries_episodes():
+    b = Budget(max_queries=3)
+    assert not b.exhausted(0, 10**9, 2)
+    assert b.exhausted(0, 0, 3)
+    # with a step cap the episode count does not matter
+    assert not Budget(max_queries=3, max_steps=100).exhausted(0, 99, 10**6)
+
+
+def test_queries_only_run_that_never_queries_still_ends():
+    def timed_out(signum, frame):
+        raise TimeoutError("train did not stop on a queries-only budget")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:  # tau = 1e9: no state is ever novel enough to query
+        _, record = small_run(StrategyConfig("fixed-threshold", tau=1e9),
+                              budget=Budget(max_queries=3), eval_episodes=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert record.summary["episodes"] == 3
+    assert record.summary["total_queries"] == 0
 
 
 def test_is_expert_level_hand_cases():
@@ -105,6 +130,39 @@ def test_build_initial_dataset_rolls_out_no_extra_episode():
     # a noisy expert's generator advances once per call, so extra calls would shift it
     ds = build_initial_dataset(env, CountingExpert(NoisyExpert(make_expert(env), 0.1)), 450, 5)
     assert len(calls) == len(ds) == 600
+
+
+def _one_episode_stream(env, policy, m, seed):
+    """The dataset of `rollout` on child i of the seed, i = 0, 1, ..., until m pairs."""
+    trajs, total = [], 0
+    for child in np.random.SeedSequence(seed).spawn(m):
+        trajs.append(rollout(env, policy, child))
+        total += trajs[-1].length
+        if total >= m:
+            break
+    return trajs
+
+
+@pytest.mark.parametrize("kind", ["pendulum", "pusher", "double_integrator"])
+@pytest.mark.parametrize("who", ["zero", "expert"])
+def test_build_initial_dataset_equals_the_one_episode_stream(kind, who):
+    env = make_env(kind)
+    policy = ZeroPolicy(env.action_dim) if who == "zero" else make_expert(env)
+    for m in (1, env.t_max - 1, env.t_max, env.t_max + 1, 450):
+        calls = []
+
+        class Counting:
+            def act(self, state):
+                calls.append(1)
+                return policy.act(state)
+
+        ds = build_initial_dataset(env, Counting(), m, 9)
+        trajs = _one_episode_stream(env, policy, m, 9)
+        assert same_bits(ds.states, np.concatenate([t.states[:-1] for t in trajs]))
+        assert same_bits(ds.actions, np.concatenate([t.actions for t in trajs]))
+        assert len(calls) == len(ds)  # no episode past the one that reaches m
+    if kind == "pendulum" and who == "zero":
+        assert len({t.length for t in _one_episode_stream(env, policy, 450, 9)}) >= 2
 
 
 def test_dagger_queries_equal_steps():
