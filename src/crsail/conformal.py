@@ -3,8 +3,9 @@
 Rolls out the frozen initial policy, scores the visited states against the
 initial expert dataset, and sets the threshold R as the finite-sample
 (1 - alpha) quantile: the m-th order statistic with
-m = ceil((N_cal + 1)(1 - alpha)). Calibration happens once; the threshold is
-never recomputed during training unless explicitly requested.
+m = ceil((N_cal + 1)(1 - alpha)). K, the backend and alpha all come from the
+crsail `StrategyConfig`. Calibration happens once; the threshold is never
+recomputed during training unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from crsail.core import episode_seeds, rollouts
 from crsail.dataset import ExpertDataset
 from crsail.exceptions import ConfigurationError, InfeasibleCalibrationError
-from crsail.novelty import NoveltyConfig, score_batch
+from crsail.novelty import score_batch
+from crsail.strategies import StrategyConfig
 
 
 @dataclass
@@ -59,12 +61,13 @@ def conformal_quantile(scores, alpha: float) -> CalibratedThreshold:
     return CalibratedThreshold(radius=radius, alpha=alpha, m=m, n_cal=n)
 
 
-def calibrate_radius(env, policy, dataset: ExpertDataset, config: NoveltyConfig,
-                     alpha: float, m_cal: int, seed) -> CalibratedThreshold:
-    """End-to-end radius calibration against the initial expert dataset."""
-    if len(dataset) < config.k:
+def calibrate_radius(env, policy, dataset: ExpertDataset, strategy: StrategyConfig,
+                     m_cal: int, seed) -> CalibratedThreshold:
+    """End-to-end radius calibration against the initial expert dataset, at
+    the strategy's K, backend and alpha."""
+    if len(dataset) < strategy.k:
         raise ConfigurationError(
-            f"initial dataset of size {len(dataset)} is smaller than K={config.k}"
+            f"initial dataset of size {len(dataset)} is smaller than K={strategy.k}"
         )
-    scores = score_batch(collect_calibration(env, policy, m_cal, seed), dataset, config)
-    return conformal_quantile(scores, alpha)
+    scores = score_batch(collect_calibration(env, policy, m_cal, seed), dataset, strategy)
+    return conformal_quantile(scores, strategy.alpha)

@@ -220,10 +220,7 @@ def run_single(config: ExperimentConfig, m: int, seed: int) -> RunRecord:
     policy = behavioral_cloning(dataset, train_config, np.random.default_rng(seed))
     threshold = None
     if strategy.kind == "crsail":
-        threshold = calibrate_radius(
-            env, policy, dataset, strategy.novelty_config(), strategy.alpha,
-            config.m_cal, (seed, 103),
-        )
+        threshold = calibrate_radius(env, policy, dataset, strategy, config.m_cal, (seed, 103))
     budget = Budget(max_queries=config.max_queries, max_steps=config.max_steps)
     _, record = train(
         env, expert, dataset, policy, strategy, budget, train_config, (seed, 104),

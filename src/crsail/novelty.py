@@ -2,36 +2,28 @@
 
 Scores are Euclidean distances on standardized coordinates whenever the
 dataset carries a standardizer, as the policy's inputs are. Duplicates count
-with multiplicity. Two backends: exact brute force (default) and a KD-tree,
-which must agree with brute force to the bit.
+with multiplicity. K and the backend are the `k` and `backend` fields of the
+query rule's `StrategyConfig`, which checks them. Two backends: exact brute
+force (default) and a KD-tree, which must agree with brute force to the bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from crsail.dataset import ExpertDataset
-from crsail.exceptions import ConfigurationError, InsufficientDataError
+from crsail.exceptions import InsufficientDataError
+
+if TYPE_CHECKING:
+    from crsail.strategies import StrategyConfig
 
 _BATCH = 256  # query chunk size for the brute-force pairwise block
 
 
-@dataclass
-class NoveltyConfig:
-    k: int = 5
-    backend: str = "brute"
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigurationError("k must be >= 1")
-        if self.backend not in ("brute", "kdtree"):
-            raise ConfigurationError(f"unknown backend {self.backend!r}")
-
-
-def score_batch(states, dataset: ExpertDataset, config: NoveltyConfig) -> np.ndarray:
+def score_batch(states, dataset: ExpertDataset, config: StrategyConfig) -> np.ndarray:
     """Distance from each state to its K-th nearest neighbor in the dataset.
 
     An empty batch gives an empty result. The dataset's points are projected
@@ -58,6 +50,6 @@ def score_batch(states, dataset: ExpertDataset, config: NoveltyConfig) -> np.nda
     return out
 
 
-def score_sK(state, dataset: ExpertDataset, config: NoveltyConfig) -> float:
+def score_sK(state, dataset: ExpertDataset, config: StrategyConfig) -> float:
     """The paper's s_K: distance from one state to its K-th nearest neighbor."""
     return float(score_batch(np.asarray(state)[None, :], dataset, config)[0])

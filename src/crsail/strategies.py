@@ -14,7 +14,7 @@ import numpy as np
 from crsail.dataset import ExpertDataset
 from crsail.core import Trajectory, act
 from crsail.exceptions import ConfigurationError, require_finite
-from crsail.novelty import NoveltyConfig, score_batch
+from crsail.novelty import score_batch
 
 # The StrategyConfig fields each kind's query rule reads, besides its kind.
 READS = {
@@ -49,7 +49,7 @@ class StrategyConfig:
     tau: float = 0.1  # fixed-threshold novelty cutoff
     tau_doubt: float = 0.01
     ensemble_size: int = 5
-    backend: str = "brute"
+    backend: str = "brute"  # K-NN backend: "brute" or "kdtree", bit-equal
 
     def __post_init__(self):
         if self.kind not in READS:
@@ -63,11 +63,12 @@ class StrategyConfig:
             raise ConfigurationError("rate must lie in [0, 1]")
         if self.tau < 0.0:
             raise ConfigurationError("tau must be >= 0")
+        if self.tau_doubt < 0.0:
+            raise ConfigurationError("tau_doubt must be >= 0")
         if self.ensemble_size < 2:
             raise ConfigurationError("ensemble_size must be >= 2")
-
-    def novelty_config(self) -> NoveltyConfig:
-        return NoveltyConfig(k=self.k, backend=self.backend)
+        if self.backend not in ("brute", "kdtree"):
+            raise ConfigurationError(f"unknown backend {self.backend!r}")
 
 
 def select_queries(strategy: StrategyConfig, trajectory: Trajectory, dataset: ExpertDataset,
@@ -106,7 +107,7 @@ def select_queries(strategy: StrategyConfig, trajectory: Trajectory, dataset: Ex
         threshold = radius
     else:
         threshold = strategy.tau
-    scores = score_batch(visited, dataset, strategy.novelty_config())
+    scores = score_batch(visited, dataset, strategy)
     return QuerySet(indices=all_idx[scores > threshold], scores=scores)
 
 

@@ -60,6 +60,10 @@ class Budget:
     def __post_init__(self):
         if self.max_queries is None and self.max_steps is None:
             raise ConfigurationError("at least one of max_queries/max_steps must be finite")
+        for name in ("max_queries", "max_steps"):
+            cap = getattr(self, name)
+            if cap is not None and cap < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {cap}")
 
     def exhausted(self, queries: int, steps: int, episodes: int) -> bool:
         if self.max_queries is not None and queries >= self.max_queries:
@@ -235,10 +239,8 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
         ))
         i += 1
         if recalibrate_every > 0 and i % recalibrate_every == 0 and strategy.kind == "crsail":
-            radius = calibrate_radius(
-                env, policy, dataset, strategy.novelty_config(),
-                threshold.alpha, m_cal, recal_ss.spawn(1)[0],
-            ).radius
+            radius = calibrate_radius(env, policy, dataset, strategy, m_cal,
+                                      recal_ss.spawn(1)[0]).radius
 
     if len(dataset) != initial_size + queries:
         raise InvariantError(f"dataset holds {len(dataset)} pairs, expected "

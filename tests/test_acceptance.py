@@ -16,7 +16,7 @@ from crsail.core import rollout
 from crsail.dataset import ExpertDataset
 from crsail.envs import make_env, make_expert
 from crsail.harness import ExperimentConfig, run_single
-from crsail.novelty import NoveltyConfig, score_batch, score_sK
+from crsail.novelty import score_batch, score_sK
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, loss_and_grad
 from crsail.strategies import StrategyConfig
 from crsail.trainer import Budget, build_initial_dataset, train
@@ -35,6 +35,11 @@ CONVERGE_MIN = 4               # criteria 6/8/9: out of 5 seeds
 K_SPREAD_MAX = 2.0             # criterion 8: max/min mean total queries
 BACKEND_TIME_LIMIT = 60.0      # criterion 3 wall-clock bound, seconds
 GRAD_TIME_LIMIT = 30.0         # criterion 4 wall-clock bound, seconds
+
+
+def knn(k, backend="brute"):
+    """The K-NN novelty parameters of a crsail query rule."""
+    return StrategyConfig("crsail", k=k, backend=backend)
 
 
 def verdict(capsys, number, ok, detail):
@@ -131,8 +136,8 @@ def test_criterion_3_backend_equivalence(capsys):
         ds = ExpertDataset(points, np.zeros((n_data, 1)))
         queries = rng.normal(size=(1000, 4))
         for k in (1, 5, 9):
-            brute = score_batch(queries, ds, NoveltyConfig(k=k, backend="brute"))
-            tree = score_batch(queries, ds, NoveltyConfig(k=k, backend="kdtree"))
+            brute = score_batch(queries, ds, knn(k, "brute"))
+            tree = score_batch(queries, ds, knn(k, "kdtree"))
             exact = exact and np.array_equal(brute, tree)
     # invariants on random instances
     invariants = True
@@ -141,11 +146,11 @@ def test_criterion_3_backend_equivalence(capsys):
         pts = rng.normal(size=(n, 3))
         ds = ExpertDataset(pts, np.zeros((n, 1)))
         x = rng.normal(size=3)
-        s = [score_sK(x, ds, NoveltyConfig(k=k)) for k in range(1, n + 1)]
+        s = [score_sK(x, ds, knn(k)) for k in range(1, n + 1)]
         invariants = invariants and all(a <= b for a, b in zip(s, s[1:]))
         before = s[0]
         ds.append(rng.normal(size=(1, 3)), np.zeros((1, 1)))
-        after = score_sK(x, ds, NoveltyConfig(k=1))
+        after = score_sK(x, ds, knn(1))
         invariants = invariants and after <= before
     elapsed = time.perf_counter() - start
     ok = exact and invariants and elapsed < BACKEND_TIME_LIMIT
@@ -218,13 +223,12 @@ def test_criterion_5_training_loop_invariants(capsys):
         expert = make_expert(env)
         dataset = build_initial_dataset(env, expert, int(rng.integers(50, 200)), trial)
         policy = behavioral_cloning(dataset, fast, np.random.default_rng(0))
-        strategy = StrategyConfig(kind, k=int(rng.integers(1, 6)),
+        strategy = StrategyConfig(kind, alpha=0.9, k=int(rng.integers(1, 6)),
                                   rate=float(rng.uniform(0.1, 0.9)),
                                   tau=float(rng.uniform(0.0, 0.5)))
         threshold = None
         if kind == "crsail":
-            threshold = calibrate_radius(env, policy, dataset,
-                                         strategy.novelty_config(), 0.9, 2, trial + 77)
+            threshold = calibrate_radius(env, policy, dataset, strategy, 2, trial + 77)
         # always cap steps: a queries-only budget can never exhaust under a
         # strategy whose query rate drops to zero
         max_queries = int(rng.integers(50, 300)) if rng.random() < 0.5 else None

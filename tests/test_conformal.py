@@ -10,10 +10,16 @@ from crsail.conformal import (
 from crsail.core import evaluate_policy, rollout
 from crsail.envs import make_env, make_expert
 from crsail.exceptions import ConfigurationError, InfeasibleCalibrationError
-from crsail.novelty import NoveltyConfig, score_batch
+from crsail.novelty import score_batch
 from crsail.policy import TrainConfig, behavioral_cloning
+from crsail.strategies import StrategyConfig
 from crsail.trainer import build_initial_dataset
 from helpers import ZeroPolicy
+
+
+def crsail(k=5, alpha=0.93):
+    """A crsail query rule: the K and alpha that calibration reads."""
+    return StrategyConfig("crsail", alpha=alpha, k=k)
 
 
 def test_quantile_99_scores():
@@ -104,9 +110,9 @@ def test_calibrate_radius_deterministic_and_composed():
     env = make_env("pendulum")
     dataset = build_initial_dataset(env, make_expert(env), 300, 2)
     policy = behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(0))
-    cfg = NoveltyConfig(k=5)
-    t1 = calibrate_radius(env, policy, dataset, cfg, alpha=0.93, m_cal=5, seed=3)
-    t2 = calibrate_radius(env, policy, dataset, cfg, alpha=0.93, m_cal=5, seed=3)
+    cfg = crsail(k=5, alpha=0.93)
+    t1 = calibrate_radius(env, policy, dataset, cfg, m_cal=5, seed=3)
+    t2 = calibrate_radius(env, policy, dataset, cfg, m_cal=5, seed=3)
     assert t1 == t2
     scores = score_batch(collect_calibration(env, policy, 5, 3), dataset, cfg)
     assert t1.radius == conformal_quantile(scores, 0.93).radius
@@ -116,7 +122,7 @@ def test_calibrate_radius_boundary_alpha_returns_max_score():
     env = make_env("pendulum")
     dataset = build_initial_dataset(env, make_expert(env), 300, 2)
     policy = behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(0))
-    cfg = NoveltyConfig(k=5)
+    cfg = crsail(k=5)
     scores = score_batch(collect_calibration(env, policy, 2, 4), dataset, cfg)
     n = len(scores)
     alpha = 1.5 / (n + 1)  # (n+1)(1-alpha) = n - 0.5, so m = n exactly
@@ -130,7 +136,7 @@ def test_calibrate_radius_requires_dataset_at_least_k():
     dataset = build_initial_dataset(env, make_expert(env), 3, 2)
     policy = ZeroPolicy(1)
     with pytest.raises(ConfigurationError):
-        calibrate_radius(env, policy, dataset, NoveltyConfig(k=1000), 0.9, 1, 0)
+        calibrate_radius(env, policy, dataset, crsail(k=1000, alpha=0.9), 1, 0)
 
 
 def test_synthetic_exchangeable_coverage():
@@ -152,9 +158,9 @@ def test_on_policy_coverage_diagnostic():
     env = make_env("pendulum")
     dataset = build_initial_dataset(env, make_expert(env), 500, 11)
     policy = behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(1))
-    cfg = NoveltyConfig(k=5)
     alpha = 0.93
-    thr = calibrate_radius(env, policy, dataset, cfg, alpha=alpha, m_cal=30, seed=21)
+    cfg = crsail(k=5, alpha=alpha)
+    thr = calibrate_radius(env, policy, dataset, cfg, m_cal=30, seed=21)
     fractions = []
     for seed in np.random.SeedSequence(22).spawn(50):
         traj = rollout(env, policy, seed)

@@ -183,6 +183,11 @@ def test_episode_counts_checked_at_load(config_path, override):
     ("experiment.m_values=", "m_values must not be empty"),
     ("strategy.alpha=1.5", "alpha must lie in (0, 1), got 1.5"),
     ("strategy.alpha=0", "alpha must lie in (0, 1), got 0"),
+    ("strategy.backend=bogus", "unknown backend 'bogus'"),
+    ("strategy.tau_doubt=-1", "tau_doubt must be >= 0"),
+    ("budget.max_steps=0", "max_steps must be >= 1, got 0"),
+    ("budget.max_steps=-5", "max_steps must be >= 1, got -5"),
+    ("budget.max_queries=0", "max_queries must be >= 1, got 0"),
 ])
 def test_grid_checked_at_load(config_path, override, message):
     with pytest.raises(ConfigurationError) as err:
@@ -193,7 +198,9 @@ def test_grid_checked_at_load(config_path, override, message):
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--M", "50"]])
 @pytest.mark.parametrize("override", ["experiment.workers=two", "strategy.k=0",
                                       "experiment.seeds=-1", "experiment.m_values=",
-                                      "strategy.alpha=1.5"])
+                                      "strategy.alpha=1.5", "strategy.backend=bogus",
+                                      "strategy.tau_doubt=-1", "budget.max_steps=0",
+                                      "budget.max_queries=0"])
 def test_cli_config_error_is_one_line_and_exit_2(config_path, capsys, command, override):
     argv = [command[0], config_path, *command[1:], "--set", override, "--print-config"]
     assert main(argv) == 2

@@ -145,6 +145,15 @@ def test_alpha_is_a_checked_strategy_field():
         assert str(err.value) == f"alpha must lie in (0, 1), got {alpha}"
 
 
+def test_backend_and_tau_doubt_checked_for_every_kind():
+    for kind in READS:
+        with pytest.raises(ConfigurationError, match="unknown backend 'bogus'"):
+            StrategyConfig(kind, backend="bogus")
+        with pytest.raises(ConfigurationError, match="tau_doubt must be >= 0"):
+            StrategyConfig(kind, tau_doubt=-1.0)
+    assert StrategyConfig("dagger", backend="kdtree").backend == "kdtree"
+
+
 def test_reads_names_strategy_fields_of_every_kind():
     names = {f.name for f in dataclasses.fields(StrategyConfig)} - {"kind"}
     for kind, read in READS.items():

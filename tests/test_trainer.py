@@ -39,8 +39,7 @@ def small_run(strategy, budget=None, seed=0, env_kind="pendulum", **kwargs):
     policy = clone(dataset)
     threshold = None
     if strategy.kind == "crsail":
-        threshold = calibrate_radius(env, policy, dataset, strategy.novelty_config(),
-                                     alpha=0.9, m_cal=3, seed=seed + 50)
+        threshold = calibrate_radius(env, policy, dataset, strategy, m_cal=3, seed=seed + 50)
     budget = budget or Budget(max_steps=600)
     return train(env, expert, dataset, policy, strategy, budget, FAST, seed,
                  threshold=threshold, expert_mean=200.0, **kwargs)
@@ -54,6 +53,18 @@ def test_budget_validation_and_exhaustion():
     assert b.exhausted(10, 0, 0)
     assert b.exhausted(0, 100, 0)
     assert Budget(max_queries=5).exhausted(5, 10**9, 0) is True
+
+
+@pytest.mark.parametrize("caps, message", [
+    ({"max_steps": 0}, "max_steps must be >= 1, got 0"),
+    ({"max_steps": -5}, "max_steps must be >= 1, got -5"),
+    ({"max_queries": 0, "max_steps": 100}, "max_queries must be >= 1, got 0"),
+])
+def test_budget_caps_must_be_at_least_one(caps, message):
+    with pytest.raises(ConfigurationError) as err:
+        Budget(**caps)
+    assert str(err.value) == message
+    assert not Budget(max_queries=1, max_steps=1).exhausted(0, 0, 0)
 
 
 def test_queries_only_budget_ends_after_max_queries_episodes():
@@ -183,7 +194,7 @@ def test_budget_entry_check_allows_final_overshoot():
 
 
 def test_query_counts_bounded_by_episode_length():
-    _, record = small_run(StrategyConfig("crsail", k=5))
+    _, record = small_run(StrategyConfig("crsail", alpha=0.9, k=5))
     for e in record.episodes:
         assert 0 <= e.n_queries <= e.length
 
@@ -235,7 +246,7 @@ def test_fixed_threshold_strategy_runs():
 
 
 def test_recalibration_updates_threshold_without_crashing():
-    _, record = small_run(StrategyConfig("crsail", k=5),
+    _, record = small_run(StrategyConfig("crsail", alpha=0.9, k=5),
                           budget=Budget(max_steps=800),
                           recalibrate_every=2, m_cal=2)
     assert record.summary["episodes"] >= 2
