@@ -31,6 +31,12 @@ CASES = {
     "pusher-crsail": ({"env": "pusher", "strategy": "crsail", "max_steps": 500}, 500, 4),
     "pusher-ensemble-variance": (
         {"env": "pusher", "strategy": "ensemble-variance", "max_steps": 300}, 200, 5),
+    # three members; every update re-clones, and with 48-row minibatches each
+    # epoch ends on a short one (M=200 is not a multiple of 48)
+    "pusher-ensemble-retrain": (
+        {"env": "pusher", "strategy": "ensemble-variance", "max_steps": 300,
+         "strategy_params": {"ensemble_size": 3},
+         "train_params": {"retrain_from_scratch": True, "batch_size": 48}}, 200, 7),
     # queries-only budget; the radius is recalibrated after episodes 2 and 4
     "double-integrator-crsail-recalibrated": (
         {"env": "double_integrator", "strategy": "crsail", "max_steps": None,
