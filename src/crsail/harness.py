@@ -112,9 +112,11 @@ class ExperimentConfig:
             raise ConfigurationError("config must set experiment.env")
         if not self.strategy:
             raise ConfigurationError("config must set experiment.strategy")
-        for name in ("eval_episodes", "m_cal"):  # episode counts of every run
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+        # episode counts of every run, the process count, the recalibration period
+        for name, low in (("eval_episodes", 1), ("m_cal", 1), ("workers", 1),
+                          ("recalibrate_every", 0)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name, low in (("seeds", 0), ("m_values", 1)):  # the grid's axes
             values = getattr(self, name)
             if not values:

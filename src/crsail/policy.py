@@ -15,6 +15,7 @@ from crsail.dataset import ExpertDataset, Standardizer
 from crsail.exceptions import ConfigurationError, require_finite
 
 HIDDEN = 64  # hidden-layer width
+PARAMS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
@@ -63,6 +64,11 @@ class MLPPolicy:
         )
 
     @property
+    def params(self) -> list[np.ndarray]:
+        """The parameter arrays themselves, in `PARAMS` order; SGD updates them in place."""
+        return [self.w1, self.b1, self.w2, self.b2]
+
+    @property
     def state_dim(self) -> int:
         return self.w1.shape[1]
 
@@ -102,6 +108,24 @@ class MLPPolicy:
                          self.standardizer)
 
 
+def _gradient(params, z, labels):
+    """The residual and the exact gradient of the mean squared imitation loss.
+
+    `params` is (w1, b1, w2, b2) and `z` holds standardized states, one per
+    row of `labels`. Written over the last two axes, so every array may carry
+    a leading member axis: member e's slice gets the bits of its own call.
+    Returns (err, g_w1, g_b1, g_w2, g_b2).
+    """
+    w1, b1, w2, b2 = params
+    n = z.shape[-2]
+    hidden = np.tanh(z @ np.swapaxes(w1, -1, -2) + b1[..., None, :])
+    err = hidden @ np.swapaxes(w2, -1, -2) + b2[..., None, :] - labels
+    d_out = 2.0 * err / n
+    d_pre = (d_out @ w2) * (1.0 - hidden**2)
+    return (err, np.swapaxes(d_pre, -1, -2) @ z, d_pre.sum(axis=-2),
+            np.swapaxes(d_out, -1, -2) @ hidden, d_out.sum(axis=-2))
+
+
 def loss_and_grad(policy: MLPPolicy, states: np.ndarray, labels: np.ndarray):
     """Mean squared imitation loss over the batch and its exact gradient.
 
@@ -111,56 +135,72 @@ def loss_and_grad(policy: MLPPolicy, states: np.ndarray, labels: np.ndarray):
     labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
     if len(states) == 0:
         raise ConfigurationError("batch must be non-empty")
-    n = len(states)
-    z = policy._standardize(states)
-    pre = z @ policy.w1.T + policy.b1
-    hidden = np.tanh(pre)
-    out = hidden @ policy.w2.T + policy.b2
-    err = out - labels
-    loss = float((err**2).sum() / n)
-    d_out = 2.0 * err / n
-    d_hidden = d_out @ policy.w2
-    d_pre = d_hidden * (1.0 - hidden**2)
-    grads = {
-        "w1": d_pre.T @ z,
-        "b1": d_pre.sum(axis=0),
-        "w2": d_out.T @ hidden,
-        "b2": d_out.sum(axis=0),
-    }
-    return loss, grads
+    err, *grads = _gradient(policy.params, policy._standardize(states), labels)
+    return float((err**2).sum() / len(states)), dict(zip(PARAMS, grads))
 
 
-def _sgd_epochs(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
-                epochs: int, rng: np.random.Generator) -> MLPPolicy:
-    n = len(dataset)
+def _sgd_epochs(params, z, labels, perms, config: TrainConfig) -> None:
+    """The one minibatch SGD loop; updates `params` (w1, b1, w2, b2) in place.
+
+    `z` and `labels` are the standardized states and actions, one training
+    pair per row, and `perms` holds one permutation of row indices per epoch,
+    shape (epochs, n). With shape (epochs, members, n) and a leading member
+    axis on every parameter, the members train in lockstep, each on its own
+    rows of the stack.
+    """
     lr = config.learning_rate
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            _, grads = loss_and_grad(policy, dataset.states[idx], dataset.actions[idx])
-            policy.w1 -= lr * grads["w1"]
-            policy.b1 -= lr * grads["b1"]
-            policy.w2 -= lr * grads["w2"]
-            policy.b2 -= lr * grads["b2"]
-    return policy
+    for perm in perms:
+        for start in range(0, perm.shape[-1], config.batch_size):
+            idx = perm[..., start:start + config.batch_size]
+            for param, grad in zip(params, _gradient(params, z[idx], labels[idx])[1:]):
+                param -= lr * grad
+
+
+def _shuffle_into(rows, rng: np.random.Generator) -> None:
+    """Fill each row of `rows` with a permutation of its indices, drawn as
+    `rng.permutation(n)` draws it, without allocating one array per row."""
+    for row in rows:
+        row[:] = np.arange(len(row))
+        rng.shuffle(row)
 
 
 def behavioral_cloning(dataset: ExpertDataset, config: TrainConfig,
-                       rng: np.random.Generator) -> MLPPolicy:
+                       rng: np.random.Generator,
+                       members: int | None = None) -> MLPPolicy | list[MLPPolicy]:
     """Train a fresh policy on the dataset by minibatch SGD, drawing from `rng`.
 
     Freezes the dataset standardizer (fitting it if not already set) and
-    shares it with the returned policy.
+    shares it with the returned policy. With `members` set, returns that many
+    policies, each trained on its own bootstrap resample of the dataset: the
+    generator gives each member, in turn, its resample, its initial weights
+    and its epochs' permutations, and the members then train in lockstep.
+    Each member gets the bits of a one-member call on its resample.
     """
     if len(dataset) == 0:
         raise ConfigurationError("behavioral cloning requires a non-empty dataset")
+    if members is not None and members < 1:
+        raise ConfigurationError(f"members must be >= 1, got {members}")
     if dataset.standardizer is None:
         dataset.freeze_standardizer()
-    policy = MLPPolicy.initialize(
-        dataset.state_dim, dataset.action_dim, config, rng, dataset.standardizer
-    )
-    return _sgd_epochs(policy, dataset, config, config.bc_epochs, rng)
+    n = len(dataset)
+    count = 1 if members is None else members
+    perms = np.empty((config.bc_epochs, count, n), dtype=np.intp)
+    rows, policies = [], []
+    for e in range(count):
+        if members is not None:
+            rows.append(rng.integers(0, n, size=n))
+        policies.append(MLPPolicy.initialize(dataset.state_dim, dataset.action_dim, config,
+                                             rng, dataset.standardizer))
+        _shuffle_into(perms[:, e], rng)
+        perms[:, e] += e * n  # member e's rows of the stack
+    stack = np.concatenate(rows) if rows else slice(None)  # member-major training rows
+    z, labels = dataset.standardizer.transform(dataset.states[stack]), dataset.actions[stack]
+    if members is None:
+        _sgd_epochs(policies[0].params, z, labels, perms[:, 0], config)
+        return policies[0]
+    params = [np.stack(p) for p in zip(*(policy.params for policy in policies))]
+    _sgd_epochs(params, z, labels, perms, config)
+    return [MLPPolicy(*(p[e] for p in params), dataset.standardizer) for e in range(count)]
 
 
 def update(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
@@ -169,6 +209,8 @@ def update(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
 
     Warm-starts from the given parameters by default; set
     config.retrain_from_scratch to re-run behavioral cloning instead.
+    `epochs` overrides config.update_epochs; it stays a parameter because
+    the benchmark's tracer reads it to count the rows each update trains on.
     """
     if len(dataset) == 0:
         raise ConfigurationError("update requires a non-empty dataset")
@@ -178,4 +220,9 @@ def update(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
         raise ConfigurationError("epochs must be >= 1")
     if config.retrain_from_scratch:
         return behavioral_cloning(dataset, config, rng)
-    return _sgd_epochs(policy.copy(), dataset, config, epochs, rng)
+    policy = policy.copy()
+    perms = np.empty((epochs, len(dataset)), dtype=np.intp)
+    _shuffle_into(perms, rng)
+    _sgd_epochs(policy.params, policy._standardize(dataset.states), dataset.actions, perms,
+                config)
+    return policy

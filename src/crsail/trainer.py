@@ -169,18 +169,6 @@ def build_initial_dataset(env, expert, m: int, seed) -> ExpertDataset:
                          np.concatenate([t.actions for t in trajectories]))
 
 
-def _train_ensemble(dataset: ExpertDataset, config: TrainConfig, size: int,
-                    rng: np.random.Generator) -> list[MLPPolicy]:
-    """Bootstrap-resampled policies for the ensemble-variance gate."""
-    ensemble = []
-    for _ in range(size):
-        idx = rng.integers(0, len(dataset), size=len(dataset))
-        boot = ExpertDataset(dataset.states[idx], dataset.actions[idx],
-                             dataset.standardizer)
-        ensemble.append(behavioral_cloning(boot, config, rng))
-    return ensemble
-
-
 def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
           strategy: StrategyConfig, budget: Budget, train_config: TrainConfig,
           seed, threshold: CalibratedThreshold | None = None,
@@ -217,9 +205,9 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
         try:
             traj = rollout(env, policy, rollout_ss.spawn(1)[0])
             ensemble = None
-            if strategy.kind == "ensemble-variance":
-                ensemble = _train_ensemble(dataset, train_config, strategy.ensemble_size,
-                                           update_rng)
+            if strategy.kind == "ensemble-variance":  # bootstrap members, for the doubt score
+                ensemble = behavioral_cloning(dataset, train_config, update_rng,
+                                              members=strategy.ensemble_size)
             qs = select_queries(strategy, traj, dataset, radius=radius, rng=strat_rng,
                                 ensemble=ensemble)
             q_states, q_actions = label_queries(expert, traj, qs)

@@ -188,6 +188,9 @@ def test_episode_counts_checked_at_load(config_path, override):
     ("budget.max_steps=0", "max_steps must be >= 1, got 0"),
     ("budget.max_steps=-5", "max_steps must be >= 1, got -5"),
     ("budget.max_queries=0", "max_queries must be >= 1, got 0"),
+    ("conformal.recalibrate_every=-3", "recalibrate_every must be >= 0, got -3"),
+    ("experiment.workers=0", "workers must be >= 1, got 0"),
+    ("experiment.workers=-2", "workers must be >= 1, got -2"),
 ])
 def test_grid_checked_at_load(config_path, override, message):
     with pytest.raises(ConfigurationError) as err:
@@ -200,7 +203,9 @@ def test_grid_checked_at_load(config_path, override, message):
                                       "experiment.seeds=-1", "experiment.m_values=",
                                       "strategy.alpha=1.5", "strategy.backend=bogus",
                                       "strategy.tau_doubt=-1", "budget.max_steps=0",
-                                      "budget.max_queries=0"])
+                                      "budget.max_queries=0",
+                                      "conformal.recalibrate_every=-3",
+                                      "experiment.workers=0", "experiment.workers=-2"])
 def test_cli_config_error_is_one_line_and_exit_2(config_path, capsys, command, override):
     argv = [command[0], config_path, *command[1:], "--set", override, "--print-config"]
     assert main(argv) == 2

@@ -7,7 +7,15 @@ from crsail.core import rollout
 from crsail.dataset import ExpertDataset, Standardizer
 from crsail.envs import make_env, make_expert
 from crsail.exceptions import ConfigurationError
-from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, loss_and_grad, update
+from crsail.policy import (
+    PARAMS,
+    MLPPolicy,
+    TrainConfig,
+    _gradient,
+    behavioral_cloning,
+    loss_and_grad,
+    update,
+)
 from crsail.trainer import build_initial_dataset
 from helpers import params_equal, same_bits
 
@@ -105,6 +113,20 @@ def test_gradient_matches_finite_differences():
         assert_grads_close(grads, numerical_grad(policy, states, labels))
 
 
+def test_stacked_gradient_is_each_members_gradient():
+    rng = np.random.default_rng(4)
+    policies = [random_policy(rng, d=2, a=2, hidden=5) for _ in range(3)]
+    states = rng.standard_normal((3, 4, 2))
+    labels = rng.standard_normal((3, 4, 2))
+    stacked = _gradient([np.stack(p) for p in zip(*(q.params for q in policies))],
+                        states, labels)
+    for e, policy in enumerate(policies):
+        own = _gradient(policy.params, states[e], labels[e])
+        assert all(same_bits(s[e], g) for s, g in zip(stacked, own))
+        slice_grads = dict(zip(PARAMS, (s[e] for s in stacked[1:])))
+        assert_grads_close(slice_grads, numerical_grad(policy, states[e], labels[e]))
+
+
 def test_dimension_mismatch_rejected():
     policy = MLPPolicy(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.zeros(2))
     with pytest.raises(ConfigurationError):
@@ -200,6 +222,45 @@ def test_retrain_from_scratch_flag():
     fresh = update(warm, dataset, config, np.random.default_rng(5))
     # retraining ignores the incoming parameters entirely
     assert params_equal(fresh, behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(5)))
+
+
+def members_one_by_one(dataset, config, rng, members):
+    """Each member cloned alone on its bootstrap resample, both drawn from `rng`
+    in turn: the reference that lockstep ensemble training must reproduce."""
+    ensemble = []
+    for _ in range(members):
+        idx = rng.integers(0, len(dataset), size=len(dataset))
+        boot = ExpertDataset(dataset.states[idx], dataset.actions[idx], dataset.standardizer)
+        ensemble.append(behavioral_cloning(boot, config, rng))
+    return ensemble
+
+
+@pytest.mark.parametrize("members", [2, 5])
+@pytest.mark.parametrize("n, batch_size", [
+    (150, 64),  # n not a multiple of the batch size: each epoch ends on a short batch
+    (40, 64),   # n < batch_size: one short batch per epoch
+    (37, 1),    # one row per step
+])
+def test_ensemble_equals_members_trained_one_by_one(members, n, batch_size):
+    env = make_env("pusher")
+    full = build_initial_dataset(env, make_expert(env), n, 5)
+    dataset = ExpertDataset(full.states[:n], full.actions[:n])
+    dataset.freeze_standardizer()
+    config = TrainConfig(batch_size=batch_size, bc_epochs=8)
+    ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+    expected = members_one_by_one(dataset, config, ref_rng, members)
+    ensemble = behavioral_cloning(dataset, config, rng, members=members)
+    assert len(ensemble) == members
+    for policy, reference in zip(ensemble, expected):
+        assert all(same_bits(getattr(policy, k), getattr(reference, k)) for k in PARAMS)
+        assert policy.standardizer is dataset.standardizer
+    assert rng.random() == ref_rng.random()
+
+
+def test_zero_members_rejected():
+    dataset = ExpertDataset(np.array([[0.0]]), np.array([[0.0]]))
+    with pytest.raises(ConfigurationError, match="members must be >= 1"):
+        behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(0), members=0)
 
 
 def test_standardizer_shared_between_dataset_and_policy():
