@@ -157,10 +157,11 @@ def _sgd_epochs(params, z, labels, perms, config: TrainConfig) -> None:
 
 
 def _shuffle_into(rows, rng: np.random.Generator) -> None:
-    """Fill each row of `rows` with a permutation of its indices, drawn as
-    `rng.permutation(n)` draws it, without allocating one array per row."""
+    """Fill each row of `rows` in place with a permutation of 0..n-1 (n the
+    row length), drawn as `rng.permutation(n)` draws it."""
+    order = np.arange(rows.shape[-1])
     for row in rows:
-        row[:] = np.arange(len(row))
+        row[:] = order
         rng.shuffle(row)
 
 
