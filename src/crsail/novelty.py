@@ -4,7 +4,8 @@ Scores are Euclidean distances on standardized coordinates whenever the
 dataset carries a standardizer, as the policy's inputs are. Duplicates count
 with multiplicity. K and the backend are the `k` and `backend` fields of the
 query rule's `StrategyConfig`, which checks them. Two backends: exact brute
-force (default) and a KD-tree, which must agree with brute force to the bit.
+force (default) and a KD-tree, which agree to the bit for up to 7 dimensions
+and to rounding beyond.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from crsail.exceptions import InsufficientDataError
 if TYPE_CHECKING:
     from crsail.strategies import StrategyConfig
 
-_BATCH = 256  # query chunk size for the brute-force pairwise block
+_BATCH = 32  # query rows per brute-force block; two (_BATCH, N) buffers stay in cache
 
 
 def score_batch(states, dataset: ExpertDataset, config: StrategyConfig) -> np.ndarray:
@@ -42,11 +43,24 @@ def score_batch(states, dataset: ExpertDataset, config: StrategyConfig) -> np.nd
         q = dataset.standardizer.transform(q)
     if config.backend == "kdtree":
         return cKDTree(points).query(q, k=[k])[0][:, 0]
+    # Add up the squared differences one dimension at a time, left to right:
+    # the order numpy's sum takes over a last axis shorter than 8, so these
+    # are the bits of ((q - p) ** 2).sum(axis=-1), without a (B, N, d) block.
+    columns = np.ascontiguousarray(points.T)
+    sq_buf = np.empty((min(_BATCH, len(q)), len(points)))
+    diff_buf = np.empty_like(sq_buf)
     out = np.empty(len(q))
     for start in range(0, len(q), _BATCH):
         block = q[start:start + _BATCH]
-        sq = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
-        out[start:start + len(block)] = np.sqrt(np.partition(sq, k - 1, axis=1)[:, k - 1])
+        sq, diff = sq_buf[:len(block)], diff_buf[:len(block)]
+        np.subtract(block[:, :1], columns[0], out=sq)
+        sq *= sq
+        for j in range(1, columns.shape[0]):
+            np.subtract(block[:, j:j + 1], columns[j], out=diff)
+            diff *= diff
+            sq += diff
+        sq.partition(k - 1, axis=1)
+        np.sqrt(sq[:, k - 1], out=out[start:start + len(block)])
     return out
 
 

@@ -209,18 +209,23 @@ def update(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
     """Advance the learner on the aggregated dataset.
 
     Warm-starts from the given parameters by default; set
-    config.retrain_from_scratch to re-run behavioral cloning instead.
+    config.retrain_from_scratch to re-run behavioral cloning for
+    config.bc_epochs instead, in which case `epochs` must not be given.
     `epochs` overrides config.update_epochs; it stays a parameter because
     the benchmark's tracer reads it to count the rows each update trains on.
     """
     if len(dataset) == 0:
         raise ConfigurationError("update requires a non-empty dataset")
+    if config.retrain_from_scratch:
+        if epochs is not None:
+            raise ConfigurationError(
+                f"epochs={epochs} has no effect with retrain_from_scratch, which trains "
+                f"for bc_epochs={config.bc_epochs}")
+        return behavioral_cloning(dataset, config, rng)
     if epochs is None:
         epochs = config.update_epochs
     if epochs < 1:
         raise ConfigurationError("epochs must be >= 1")
-    if config.retrain_from_scratch:
-        return behavioral_cloning(dataset, config, rng)
     policy = policy.copy()
     perms = np.empty((epochs, len(dataset)), dtype=np.intp)
     _shuffle_into(perms, rng)

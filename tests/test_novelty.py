@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,17 @@ def knn(k, backend="brute"):
 def dataset_1d(values):
     values = np.asarray(values, dtype=np.float64)
     return ExpertDataset(values[:, None], np.zeros((len(values), 1)))
+
+
+def _pairwise_block_scan(states, dataset, k):
+    """The brute-force scan as first written: one (B, N, d) block of squared
+    differences summed over its last axis, then partitioned. It pins the bits
+    that the streaming scan in `score_batch` must keep."""
+    points, q = dataset.states, np.atleast_2d(np.asarray(states, dtype=np.float64))
+    if dataset.standardizer is not None:
+        points, q = dataset.standardizer.transform(points), dataset.standardizer.transform(q)
+    sq = ((q[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+    return np.sqrt(np.partition(sq, k - 1, axis=1)[:, k - 1])
 
 
 def brute_force_kth(x, points, k):
@@ -66,15 +79,62 @@ def test_batch_matches_per_state_brute_force():
 
 
 def test_backend_equivalence_exact():
+    # bit-equal up to 7 dimensions; see the next test for 8 and more
     rng = np.random.default_rng(1)
-    points = rng.normal(size=(500, 4))
-    points = np.vstack([points, points[:20]])  # duplicates
+    for d in range(1, 8):
+        points = rng.normal(size=(500, d))
+        points = np.vstack([points, points[:20]])  # duplicates
+        ds = ExpertDataset(points, np.zeros((len(points), 1)))
+        queries = rng.normal(size=(300, d))
+        for k in (1, 5, 9):
+            brute = score_batch(queries, ds, knn(k, "brute"))
+            tree = score_batch(queries, ds, knn(k, "kdtree"))
+            assert np.array_equal(brute, tree)
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_backends_agree_to_rounding_from_8_dims(d):
+    # From 8 dims numpy sums a last axis pairwise, so the block scan, the
+    # streaming scan and the tree may each round the sum differently.
+    rng = np.random.default_rng(20 + d)
+    points = rng.normal(size=(300, d))
+    ds = ExpertDataset(points, np.zeros((300, 1)))
+    queries = rng.normal(size=(70, d))
+    brute = score_batch(queries, ds, knn(5, "brute"))
+    np.testing.assert_allclose(brute, score_batch(queries, ds, knn(5, "kdtree")), rtol=1e-12)
+    np.testing.assert_allclose(brute, _pairwise_block_scan(queries, ds, 5), rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 7])
+@pytest.mark.parametrize("standardized", [False, True])
+def test_brute_scan_matches_pairwise_block_bits(d, standardized):
+    rng = np.random.default_rng(d)
+    points = rng.normal(size=(40, d)) * rng.uniform(0.1, 10.0, size=d)
+    points = np.vstack([points, points[:9]])  # duplicated rows
     ds = ExpertDataset(points, np.zeros((len(points), 1)))
-    queries = rng.normal(size=(300, 4))
-    for k in (1, 5, 9):
-        brute = score_batch(queries, ds, knn(k, "brute"))
-        tree = score_batch(queries, ds, knn(k, "kdtree"))
-        assert np.array_equal(brute, tree)
+    if standardized:
+        ds.standardizer = Standardizer.fit(points)
+    # query counts below, at, just above and well past one 32-row block
+    for n_queries in (1, 31, 32, 33, 97):
+        queries = rng.normal(size=(n_queries, d)) * 3.0
+        for k in (1, 7, len(ds)):
+            got = score_batch(queries, ds, knn(k, "brute"))
+            assert np.array_equal(got, _pairwise_block_scan(queries, ds, k))
+
+
+def test_brute_scan_memory_is_bounded():
+    # A calibration-sized call: a (B, N, d) block of differences would take
+    # B * 6500 * 6 floats; two (32, N) buffers take about 3.3 MB.
+    rng = np.random.default_rng(7)
+    ds = ExpertDataset(rng.normal(size=(6500, 6)), np.zeros((6500, 1)))
+    queries = rng.normal(size=(3000, 6))
+    tracemalloc.start()
+    try:
+        score_batch(queries, ds, knn(5, "brute"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_scores_reflect_appends():

@@ -224,6 +224,16 @@ def test_retrain_from_scratch_flag():
     assert params_equal(fresh, behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(5)))
 
 
+def test_retrain_from_scratch_rejects_epochs():
+    # retraining runs bc_epochs, so an explicit epoch count would be ignored
+    dataset = ExpertDataset(np.random.default_rng(6).normal(size=(50, 2)), np.zeros((50, 1)))
+    config = TrainConfig(retrain_from_scratch=True)
+    warm = behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(6))
+    for epochs in (1, 7):
+        with pytest.raises(ConfigurationError, match="retrain_from_scratch"):
+            update(warm, dataset, config, np.random.default_rng(6), epochs=epochs)
+
+
 def members_one_by_one(dataset, config, rng, members):
     """Each member cloned alone on its bootstrap resample, both drawn from `rng`
     in turn: the reference that lockstep ensemble training must reproduce."""
