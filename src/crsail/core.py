@@ -4,9 +4,9 @@ Environments expose `state_dim`, `action_dim`, `t_max`, `reset(rng)` and
 `step(state, action) -> (next_state, reward, terminal)`, where `step` also
 takes a stack of states and actions, one row per episode, and gives each row
 the bits a one-row step would (a single reward or terminal flag stands for
-every row). Policies and experts expose `act(state) -> action`; one whose
-`act` takes such a stack too says so with `acts_on_stacks = True`, and `act`
-here calls any other row by row.
+every row). Policies and experts expose `act(states) -> actions` over the
+same kind of stack: an (n, d) stack gets an (n, a) block, one action row per
+state, each row with the bits of a one-state call.
 
 `rollouts(env, policy, seeds)` runs every episode: one per seed, stepped
 together. `episode_seeds(seed, n)` gives the seeds of n episodes, so episode
@@ -46,12 +46,14 @@ class Trajectory:
 
 
 def act(policy, states: np.ndarray) -> np.ndarray:
-    """`policy.act` over a stack of states, one action row per state: in one call
-    if the policy takes stacks, else row by row in stack order."""
-    if getattr(policy, "acts_on_stacks", False):
-        return policy.act(states)
-    return np.array([np.atleast_1d(np.asarray(policy.act(row), dtype=np.float64))
-                     for row in states])
+    """`policy.act` on an (n, d) stack of states, checked to give one action row
+    per state."""
+    actions = np.asarray(policy.act(states), dtype=np.float64)
+    if actions.ndim != 2 or len(actions) != len(states):
+        raise ConfigurationError(
+            f"{type(policy).__name__}.act gave shape {actions.shape} for {len(states)} "
+            "states; expected one action row per state")
+    return actions
 
 
 def _check_finite(values: np.ndarray, live: np.ndarray, what: str, t: int) -> None:

@@ -68,6 +68,9 @@ class ExpertDataset:
         """
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+        if len(states) != len(actions):
+            raise ConfigurationError(
+                f"appended state/action count mismatch: {len(states)} vs {len(actions)}")
         if len(states) == 0:
             return
         if states.shape[1] != self.state_dim or actions.shape[1] != self.action_dim:

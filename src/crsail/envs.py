@@ -5,9 +5,9 @@ a planar pushing task with randomized goals and a fixed horizon, and a double
 integrator with an LQR expert used as a sanity environment. Dynamics use
 fixed-step Euler integration so episodes replay exactly.
 
-Each `step` works over the last axis, so it takes one state (d,) or a stack
-(n, d), and each row of a stack gets the same bits as a step on that row
-alone. Experts act on one state.
+Each `step` and each expert's `act` works over the last axis, so it takes one
+state (d,) or a stack (n, d), and each row of a stack gets the same bits as a
+call on that row alone.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ class PendulumExpert:
         self.params = params or PendulumParams()
 
     def act(self, state) -> np.ndarray:
-        u = -self.KP * state[0] - self.KD * state[1]
+        u = -self.KP * state[..., 0] - self.KD * state[..., 1]
         u_max = self.params.u_max
-        return np.array([np.clip(u, -u_max, u_max)])
+        return np.clip(u, -u_max, u_max)[..., None]
 
 
 class Pendulum(Env):
@@ -191,32 +191,31 @@ class PusherExpert:
 
     def act(self, state) -> np.ndarray:
         p = self.params
-        agent, obj, goal = state[0:2], state[2:4], state[4:6]
+        agent, obj, goal = state[..., 0:2], state[..., 2:4], state[..., 4:6]
         to_goal = goal - obj
-        dist = np.linalg.norm(to_goal)
-        if dist < self.GOAL_TOL:
-            return np.zeros(2)
-        direction = to_goal / dist
+        dist = _norm(to_goal)
+        at_goal = dist < self.GOAL_TOL
+        # Every move is computed for every row and `np.where` picks one; a
+        # divisor that is 0 only where its move is not picked is replaced by 1.
+        direction = to_goal / np.where(at_goal, 1.0, dist)[..., None]
         rel = agent - obj
-        proj = rel @ direction
-        perp_vec = rel - proj * direction
-        perp = np.linalg.norm(perp_vec)
-        in_contact = np.linalg.norm(rel) <= p.contact_radius
-        behind_aligned = proj < 0 and perp < self.ALIGN_TOL
+        proj = np.vecdot(rel, direction)
+        perp_vec = rel - proj[..., None] * direction
+        perp = _norm(perp_vec)
+        unit_perp = perp_vec / np.where(perp > 1e-12, perp, 1.0)[..., None]
+        in_contact = _norm(rel) <= p.contact_radius
+        behind_aligned = (proj < 0) & (perp < self.ALIGN_TOL)
 
-        if in_contact or behind_aligned:
-            v = direction * p.speed_cap
-        elif proj <= 0:
-            v = (obj - self.STANDOFF * direction - agent) / p.dt
-        else:
-            # agent is between object and goal; swing wide before coming back
-            clearance = p.contact_radius + self.STANDOFF * 0.5
-            if perp < clearance:
-                side = perp_vec / perp if perp > 1e-12 else np.array([-direction[1], direction[0]])
-                v = side * p.speed_cap
-            else:
-                v = (obj - self.STANDOFF * direction + clearance * (perp_vec / perp) - agent) / p.dt
-        return _cap_norm(v, p.speed_cap)
+        standoff = obj - self.STANDOFF * direction
+        # agent between object and goal: swing wide before coming back
+        clearance = p.contact_radius + self.STANDOFF * 0.5
+        side = np.where((perp > 1e-12)[..., None], unit_perp,
+                        np.stack([-direction[..., 1], direction[..., 0]], axis=-1))
+        swing = np.where((perp < clearance)[..., None], side * p.speed_cap,
+                         (standoff + clearance * unit_perp - agent) / p.dt)
+        v = np.where((in_contact | behind_aligned)[..., None], direction * p.speed_cap,
+                     np.where((proj <= 0)[..., None], (standoff - agent) / p.dt, swing))
+        return np.where(at_goal[..., None], 0.0, _cap_norm(v, p.speed_cap))
 
 
 class Pusher(Env):
@@ -289,7 +288,8 @@ class DoubleIntegratorExpert:
         self.gain = _discrete_lqr_gain(a, b, np.eye(4), np.eye(2))
 
     def act(self, state) -> np.ndarray:
-        u = -self.gain @ np.asarray(state, dtype=np.float64)
+        # one matrix-vector product per row: a single stack-wide product may round differently
+        u = (-self.gain @ np.asarray(state, dtype=np.float64)[..., :, None])[..., 0]
         return _cap_norm(u, self.params.accel_cap)
 
 

@@ -40,8 +40,6 @@ class TrainConfig:
 class MLPPolicy:
     """Deterministic policy u = W2 tanh(W1 z + b1) + b2 on standardized input z."""
 
-    acts_on_stacks = True  # `act` takes an (n, d) stack as well as one state
-
     def __init__(self, w1, b1, w2, b2, standardizer: Standardizer | None = None):
         self.w1 = np.asarray(w1, dtype=np.float64)
         self.b1 = np.asarray(b1, dtype=np.float64)

@@ -113,7 +113,7 @@ def select_queries(strategy: StrategyConfig, trajectory: Trajectory, dataset: Ex
 
 def label_queries(expert, trajectory: Trajectory, queries: QuerySet):
     """One expert label per queried index, from the stored states, asked for
-    through `core.act` (one call if the expert takes stacks, else one per row).
+    in one `core.act` call.
 
     Returns (states, actions) arrays; repeated states yield repeated entries
     (multiset semantics).

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from crsail.conformal import CalibratedThreshold, calibrate_radius
-from crsail.core import episode_seeds, evaluate_policy, rollout, rollouts, seed_sequence
+from crsail.core import evaluate_policy, rollout, rollouts, seed_sequence
 from crsail.dataset import ExpertDataset
 from crsail.exceptions import ConfigurationError, InvariantError
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, update
@@ -155,14 +155,14 @@ def build_initial_dataset(env, expert, m: int, seed) -> ExpertDataset:
 
     The episodes are stepped in batches of the next ceil((m - total) / t_max):
     an episode adds at most t_max pairs, so only the last of a batch can reach
-    m, and no episode past the one that does is rolled out.
+    m, and no episode past the one that does is rolled out. A SeedSequence
+    passed as `seed` is advanced by the episodes rolled out, not by m.
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")
-    seeds, trajectories, total = episode_seeds(seed, m), [], 0  # each episode adds >= 1 pair
-    while total < m:
-        start = len(trajectories)  # then ceil((m - total) / t_max) more episodes
-        batch = rollouts(env, expert, seeds[start:start - (total - m) // env.t_max])
+    seed, trajectories, total = seed_sequence(seed), [], 0
+    while total < m:  # spawn ceil((m - total) / t_max) more episodes' seeds
+        batch = rollouts(env, expert, seed.spawn(-((total - m) // env.t_max)))
         trajectories += batch
         total += sum(t.length for t in batch)
     return ExpertDataset(np.concatenate([t.states[:-1] for t in trajectories]),

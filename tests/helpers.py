@@ -22,14 +22,14 @@ class ZeroPolicy:
         self.action_dim = action_dim
 
     def act(self, state) -> np.ndarray:
-        return np.zeros(self.action_dim)
+        return np.zeros(np.shape(state)[:-1] + (self.action_dim,))
 
 
 class NoisyExpert:
     """Wraps an expert and adds seeded Gaussian noise to each of its labels.
 
-    The generator advances once per call, so the labels depend on how many
-    calls came before.
+    The generator advances by one draw per label, so a label depends on how
+    many were asked for before it.
     """
 
     def __init__(self, expert, noise_std: float, seed: int = 0):

@@ -28,4 +28,8 @@ def test_benchmark_smoke_passes():
     for name in WORKLOADS:
         result = ROOT / "perfbench" / "out" / f"{name}-seed0-trace1.json"
         assert result.stat().st_mtime >= start - 1, f"{result} was not rewritten"
-        assert json.loads(result.read_text())["tracer_notes"] == EXPECTED_NOTES, name
+        traced = json.loads(result.read_text())
+        assert traced["tracer_notes"] == EXPECTED_NOTES, name
+        # the tracer finds experts by an `act` defined on a class in crsail.envs; an
+        # expert whose `act` moved elsewhere drops out of the trace with no note
+        assert traced["metrics"]["envs.expert_act.calls"]["value"] > 0, name

@@ -18,7 +18,7 @@ from helpers import ZeroPolicy, same_bits
 
 class NanPolicy:
     def act(self, state):
-        return np.array([np.nan])
+        return np.full(np.shape(state)[:-1] + (1,), np.nan)
 
 
 class DummyZeroRewardEnv:
@@ -72,6 +72,16 @@ def test_non_finite_action_raises_with_step_index():
     with pytest.raises(NumericalFailureError) as err:
         rollout(env, NanPolicy(), 0)
     assert err.value.step_index == 0
+
+
+def test_actor_must_give_one_action_row_per_state():
+    class NumberPerState:  # one number, not one action row, per state
+        def act(self, state):
+            return -state[..., 0]
+
+    with pytest.raises(ConfigurationError,
+                       match=r"^NumberPerState\.act gave shape \(3,\) for 3 states"):
+        rollouts(make_env("pendulum"), NumberPerState(), episode_seeds(0, 3))
 
 
 def test_evaluate_zero_reward_env():
@@ -138,7 +148,7 @@ def _reference_rollout(env, policy, seed) -> Trajectory:
 @pytest.mark.parametrize("who", ["mlp", "expert"])
 def test_lockstep_episodes_equal_one_episode_rollouts_bit_for_bit(kind, who):
     env = make_env(kind)
-    policy = _wild_policy(env, 3) if who == "mlp" else make_expert(env)  # the expert: row by row
+    policy = _wild_policy(env, 3) if who == "mlp" else make_expert(env)
     batch = rollouts(env, policy, episode_seeds(11, 12))
     children = np.random.SeedSequence(11).spawn(12)
     for b, child in zip(batch, children, strict=True):
@@ -154,8 +164,6 @@ class GoesNaNInOneEpisode:
     """Pushes right at full speed; the action turns NaN once the agent of the episode
     with goal x-coordinate `goal_x` is more than 0.25 right of where it started."""
 
-    acts_on_stacks = True
-
     def __init__(self, goal_x, start_x):
         self.goal_x, self.start_x = goal_x, start_x
 
@@ -166,15 +174,10 @@ class GoesNaNInOneEpisode:
         return action
 
 
-class GoesNaNRowByRow(GoesNaNInOneEpisode):
-    acts_on_stacks = False
-
-
-@pytest.mark.parametrize("policy_cls", [GoesNaNInOneEpisode, GoesNaNRowByRow])
-def test_non_finite_action_in_one_episode_names_the_episode_and_step(policy_cls):
+def test_non_finite_action_in_one_episode_names_the_episode_and_step():
     env = make_env("pusher")
     start = rollout(env, ZeroPolicy(2), np.random.SeedSequence(8).spawn(5)[2]).states[0]
-    policy = policy_cls(goal_x=start[4], start_x=start[0])
+    policy = GoesNaNInOneEpisode(goal_x=start[4], start_x=start[0])
     for call in (lambda: rollouts(env, policy, episode_seeds(8, 5)),
                  lambda: evaluate_policy(env, policy, 5, 8)):
         with pytest.raises(NumericalFailureError,

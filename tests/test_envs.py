@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
-from crsail.core import evaluate_policy, rollout
+from crsail.core import episode_seeds, evaluate_policy, rollout, rollouts
 from crsail.envs import (
     DoubleIntegrator,
     DoubleIntegratorExpert,
@@ -14,6 +14,7 @@ from crsail.envs import (
     Pusher,
     PusherExpert,
     PusherParams,
+    _cap_norm,
     _discrete_lqr_gain,
     make_env,
     make_expert,
@@ -238,3 +239,88 @@ def test_fixed_init_must_be_state_dim_finite_numbers(fixed_init):
 def test_non_finite_params_rejected(kind, name, value):
     with pytest.raises(ConfigurationError):
         make_env(kind, **{name: value})
+
+
+# The one-state `act` bodies the stack versions replaced, kept as their oracles.
+class OneStatePendulumExpert(PendulumExpert):
+    def act(self, state):
+        u = -self.KP * state[0] - self.KD * state[1]
+        u_max = self.params.u_max
+        return np.array([np.clip(u, -u_max, u_max)])
+
+
+class OneStatePusherExpert(PusherExpert):
+    def act(self, state):
+        p = self.params
+        agent, obj, goal = state[0:2], state[2:4], state[4:6]
+        to_goal = goal - obj
+        dist = np.linalg.norm(to_goal)
+        if dist < self.GOAL_TOL:
+            return np.zeros(2)
+        direction = to_goal / dist
+        rel = agent - obj
+        proj = rel @ direction
+        perp_vec = rel - proj * direction
+        perp = np.linalg.norm(perp_vec)
+        in_contact = np.linalg.norm(rel) <= p.contact_radius
+        behind_aligned = proj < 0 and perp < self.ALIGN_TOL
+
+        if in_contact or behind_aligned:
+            v = direction * p.speed_cap
+        elif proj <= 0:
+            v = (obj - self.STANDOFF * direction - agent) / p.dt
+        else:
+            clearance = p.contact_radius + self.STANDOFF * 0.5
+            if perp < clearance:
+                side = perp_vec / perp if perp > 1e-12 else np.array([-direction[1], direction[0]])
+                v = side * p.speed_cap
+            else:
+                v = (obj - self.STANDOFF * direction + clearance * (perp_vec / perp) - agent) / p.dt
+        return _cap_norm(v, p.speed_cap)
+
+
+class OneStateDoubleIntegratorExpert(DoubleIntegratorExpert):
+    def act(self, state):
+        u = -self.gain @ np.asarray(state, dtype=np.float64)
+        return _cap_norm(u, self.params.accel_cap)
+
+
+ONE_STATE = {PendulumExpert: OneStatePendulumExpert, PusherExpert: OneStatePusherExpert,
+             DoubleIntegratorExpert: OneStateDoubleIntegratorExpert}
+
+
+def _degenerate_pusher_states():
+    """Rows where a move the expert does not pick divides by zero: the object at
+    the goal, the agent on the object-goal line (before, in contact with and
+    behind the object, on both axes) and the agent on the object."""
+    rows = []
+    for obj, goal in [((0.2, -0.3), (0.2, -0.3)), ((0.0, 0.0), (1.0, 0.0)),
+                      ((0.3, 0.1), (0.3, -0.9)), ((-0.4, 0.5), (-0.4, 0.51))]:
+        obj, goal = np.array(obj), np.array(goal)
+        for t in (-1.0, -0.5, -0.2, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0):
+            rows.append(np.concatenate([obj + t * (goal - obj), obj, goal]))
+        rows.append(np.concatenate([(0.9, 0.9), obj, goal]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", ["pendulum", "pusher", "double_integrator"])
+def test_expert_on_a_stack_equals_the_one_state_expert(kind):
+    env = make_env(kind)
+    expert = make_expert(env)
+    oracle = ONE_STATE[type(expert)](env.params)
+    visited = [t.states for t in rollouts(env, expert, episode_seeds(5, 20))]
+    drawn = np.random.default_rng(6).uniform(-2.0, 2.0, size=(2000, env.state_dim))
+    states = np.concatenate(visited + [drawn])
+    if kind == "pusher":
+        states = np.concatenate([states, _degenerate_pusher_states()])
+    with np.errstate(all="raise"):  # a move that is not picked must not divide by zero
+        stacked = expert.act(states)
+        assert same_bits(stacked, np.array([oracle.act(x) for x in states]))
+        assert same_bits(stacked, np.array([expert.act(x) for x in states]))
+
+
+def test_one_state_expert_given_a_stack_is_rejected():
+    env = make_env("pendulum")
+    with pytest.raises(ConfigurationError,
+                       match=r"^OneStatePendulumExpert\.act gave shape \(1, 2\) for 5 states"):
+        rollouts(env, OneStatePendulumExpert(env.params), episode_seeds(0, 5))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crsail.dataset import ExpertDataset, Standardizer
-from crsail.exceptions import InsufficientDataError, NumericalFailureError
+from crsail.exceptions import ConfigurationError, InsufficientDataError, NumericalFailureError
 from crsail.novelty import score_batch, score_sK
 from crsail.strategies import StrategyConfig
 
@@ -213,3 +213,12 @@ def test_append_rejects_non_finite_labels_naming_label_and_row():
     with pytest.raises(NumericalFailureError, match=r"label \[inf\].*row 4"):
         ds.append(states, np.array([[0.5], [np.inf]]))
     assert len(ds) == 3  # nothing was appended
+
+
+def test_append_rejects_mismatched_row_counts():
+    ds = ExpertDataset(np.zeros((4, 2)), np.zeros((4, 1)))
+    with pytest.raises(ConfigurationError, match="count mismatch: 3 vs 1"):
+        ds.append(np.ones((3, 2)), np.ones((1, 1)))
+    with pytest.raises(ConfigurationError, match="count mismatch: 0 vs 2"):
+        ds.append(np.zeros((0, 2)), np.ones((2, 1)))
+    assert len(ds) == len(ds.actions) == 4  # nothing was appended

@@ -27,14 +27,14 @@ class ConstantExpert:
         self.value = np.atleast_1d(np.asarray(value, dtype=np.float64))
 
     def act(self, state):
-        return self.value
+        return np.full(np.shape(state)[:-1] + self.value.shape, self.value)
 
 
 class EchoExpert:
     """Labels each state with its own first coordinate."""
 
     def act(self, state):
-        return np.atleast_1d(state[0])
+        return state[..., :1]
 
 
 def test_dagger_queries_every_step():
@@ -195,25 +195,20 @@ def test_label_queries_empty_and_out_of_range():
 class RecordingExpert(EchoExpert):
     """Records the argument of each `act` call."""
 
-    def __init__(self, acts_on_stacks):
-        self.acts_on_stacks = acts_on_stacks
+    def __init__(self):
         self.calls = []
 
     def act(self, state):
         self.calls.append(np.array(state))
-        return state[..., :1] if self.acts_on_stacks else super().act(state)
+        return super().act(state)
 
 
-@pytest.mark.parametrize("acts_on_stacks", [True, False])
-def test_label_queries_asks_a_stack_expert_once_and_any_other_row_by_row(acts_on_stacks):
+def test_label_queries_asks_the_expert_once_for_the_queried_stack():
     traj = make_trajectory([3.0, 1.0, 4.0, 1.5, 9.0])
-    expert = RecordingExpert(acts_on_stacks)
+    expert = RecordingExpert()
     states, actions = label_queries(expert, traj, QuerySet(np.array([0, 2, 3])))
     assert np.array_equal(actions, [[3.0], [4.0], [1.5]])
-    if acts_on_stacks:
-        assert len(expert.calls) == 1 and np.array_equal(expert.calls[0], states)
-    else:
-        assert [c.tolist() for c in expert.calls] == [[3.0], [4.0], [1.5]]
+    assert len(expert.calls) == 1 and np.array_equal(expert.calls[0], states)
 
 
 @pytest.mark.parametrize("name", ["alpha", "rate", "tau", "tau_doubt"])
