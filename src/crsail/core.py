@@ -61,7 +61,8 @@ def _check_finite(values: np.ndarray, live: np.ndarray, what: str, t: int) -> No
     finite = np.isfinite(values)
     if not finite.all():
         episode = live[np.argmin(finite.all(axis=1))]
-        raise NumericalFailureError(f"non-finite {what} of episode {episode}", step_index=t)
+        raise NumericalFailureError(f"non-finite {what} of episode {episode}", step_index=t,
+                                    episode=int(episode))
 
 
 def rollouts(env, policy, seeds) -> list[Trajectory]:
@@ -72,7 +73,7 @@ def rollouts(env, policy, seeds) -> list[Trajectory]:
     Row j of the block is episode `live[j]`. Each episode stops at its first
     terminal state or at t_max, so its length L satisfies 1 <= L <= t_max,
     and then leaves the block. A non-finite state or action raises
-    `NumericalFailureError` with its step index, naming the episode.
+    `NumericalFailureError` with its step index and episode index.
     """
     x0 = np.array([env.reset(np.random.default_rng(s)) for s in seeds], dtype=np.float64)
     live = np.arange(len(seeds))
@@ -123,11 +124,18 @@ def episode_seeds(seed, n_episodes: int) -> list[np.random.SeedSequence]:
     return seed_sequence(seed).spawn(n_episodes)
 
 
-def evaluate_policy(env, policy, n_episodes: int, seed) -> tuple[float, float]:
-    """Mean and standard deviation of episode returns over seeded rollouts.
+def evaluate_policy(env, policy, n_episodes: int, seed,
+                    carry=None) -> tuple[float, float, Trajectory | None]:
+    """Mean and standard deviation of episode returns over seeded rollouts, and
+    the episode on seed `carry` (None without one).
 
+    The carried episode is one more row of the same block, after the
+    `n_episodes` evaluation rows, so it gets the bits it gets alone and
+    counts in neither statistic; a failure in it names episode `n_episodes`.
     Evaluation rollouts never touch training budgets or the expert dataset.
     """
-    returns = np.array([t.episode_return
-                        for t in rollouts(env, policy, episode_seeds(seed, n_episodes))])
-    return float(returns.mean()), float(returns.std())
+    seeds = episode_seeds(seed, n_episodes)
+    trajectories = rollouts(env, policy, seeds if carry is None else [*seeds, carry])
+    returns = np.array([t.episode_return for t in trajectories[:n_episodes]])
+    carried = None if carry is None else trajectories[-1]
+    return float(returns.mean()), float(returns.std()), carried

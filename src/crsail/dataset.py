@@ -30,6 +30,32 @@ class Standardizer:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
 
 
+def _checked_pairs(states, actions, first_row: int, dims=None):
+    """`states` and `actions` as 2-D float arrays, checked as they enter a dataset.
+
+    The counts must match, each array must have one row per pair and, when
+    `dims` (state_dim, action_dim) is given, those widths, and every label
+    must be finite; a bad label's message names its row, the pairs starting
+    at dataset row `first_row`.
+    """
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    if len(states) != len(actions):
+        raise ConfigurationError(f"state/action count mismatch: {len(states)} vs {len(actions)}")
+    if states.ndim != 2 or actions.ndim != 2 or (
+            dims is not None and (states.shape[1], actions.shape[1]) != dims):
+        raise ConfigurationError(
+            f"pairs have mismatched dimensions: states {states.shape}, actions {actions.shape}"
+            + ("" if dims is None else f", expected widths {dims}"))
+    bad = np.flatnonzero(~np.isfinite(actions).all(axis=1))
+    if len(bad):
+        j = bad[0]
+        raise NumericalFailureError(
+            f"non-finite expert label {actions[j]} for state {states[j]} "
+            f"(row {first_row + j} of the dataset)")
+    return states, actions
+
+
 class ExpertDataset:
     """Growable multiset of (state, expert action) pairs.
 
@@ -39,14 +65,7 @@ class ExpertDataset:
     """
 
     def __init__(self, states, actions, standardizer: Standardizer | None = None):
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        if len(states) != len(actions):
-            raise ConfigurationError(
-                f"state/action count mismatch: {len(states)} vs {len(actions)}"
-            )
-        self.states = states
-        self.actions = actions
+        self.states, self.actions = _checked_pairs(states, actions, 0)
         self.standardizer = standardizer
 
     @property
@@ -66,23 +85,11 @@ class ExpertDataset:
         Non-finite labels are rejected here, where they enter, so a bad
         expert is not later mistaken for a failing policy.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        if len(states) != len(actions):
-            raise ConfigurationError(
-                f"appended state/action count mismatch: {len(states)} vs {len(actions)}")
-        if len(states) == 0:
-            return
-        if states.shape[1] != self.state_dim or actions.shape[1] != self.action_dim:
-            raise ConfigurationError("appended pairs have mismatched dimensions")
-        bad = np.flatnonzero(~np.isfinite(actions).all(axis=1))
-        if len(bad):
-            j = bad[0]
-            raise NumericalFailureError(
-                f"non-finite expert label {actions[j]} for state {states[j]} "
-                f"(row {len(self) + j} of the dataset)")
-        self.states = np.concatenate([self.states, states])
-        self.actions = np.concatenate([self.actions, actions])
+        states, actions = _checked_pairs(states, actions, len(self),
+                                         (self.state_dim, self.action_dim))
+        if len(states):
+            self.states = np.concatenate([self.states, states])
+            self.actions = np.concatenate([self.actions, actions])
 
     def freeze_standardizer(self) -> Standardizer:
         """Fit the standardizer on the current contents and freeze it."""

@@ -9,11 +9,16 @@ class ConfigurationError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A rollout produced a non-finite state or action."""
+    """A rollout produced a non-finite state or action.
 
-    def __init__(self, message, step_index=None):
+    `step_index` is the time step and `episode` the episode's index in its
+    rollout call, when the failure has them.
+    """
+
+    def __init__(self, message, step_index=None, episode=None):
         super().__init__(message)
         self.step_index = step_index
+        self.episode = episode
 
 
 class InsufficientDataError(ValueError):

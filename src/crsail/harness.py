@@ -217,7 +217,7 @@ def run_single(config: ExperimentConfig, m: int, seed: int) -> RunRecord:
     train_config = config.make_train_config()
     strategy = config.make_strategy_config()
 
-    expert_mean, _ = evaluate_policy(env, expert, config.eval_episodes, (seed, 101))
+    expert_mean, _, _ = evaluate_policy(env, expert, config.eval_episodes, (seed, 101))
     dataset = build_initial_dataset(env, expert, m, (seed, 102))
     policy = behavioral_cloning(dataset, train_config, np.random.default_rng(seed))
     threshold = None

@@ -106,22 +106,58 @@ class MLPPolicy:
                          self.standardizer)
 
 
-def _gradient(params, z, labels):
-    """The residual and the exact gradient of the mean squared imitation loss.
+def _backprop(params, z, labels, grads, work):
+    """Write the exact gradient of the mean squared imitation loss into `grads`
+    and return the residual.
 
-    `params` is (w1, b1, w2, b2) and `z` holds standardized states, one per
-    row of `labels`. Written over the last two axes, so every array may carry
-    a leading member axis: member e's slice gets the bits of its own call.
-    Returns (err, g_w1, g_b1, g_w2, g_b2).
+    `params` and `grads` are (w1, b1, w2, b2), and `z` holds standardized
+    states, one per row of `labels`. Written over the last two axes, so every
+    array may carry a leading member axis: member e's slice gets the bits of
+    its own call. `work` holds five buffers of at least z's row count, shaped
+    as `_workspace` makes them; their first rows hold the intermediates.
     """
     w1, b1, w2, b2 = params
-    n = z.shape[-2]
-    hidden = np.tanh(z @ np.swapaxes(w1, -1, -2) + b1[..., None, :])
-    err = hidden @ np.swapaxes(w2, -1, -2) + b2[..., None, :] - labels
-    d_out = 2.0 * err / n
-    d_pre = (d_out @ w2) * (1.0 - hidden**2)
-    return (err, np.swapaxes(d_pre, -1, -2) @ z, d_pre.sum(axis=-2),
-            np.swapaxes(d_out, -1, -2) @ hidden, d_out.sum(axis=-2))
+    g_w1, g_b1, g_w2, g_b2 = grads
+    m = z.shape[-2]
+    if m < work[0].shape[-2]:  # a short minibatch uses the buffers' first rows
+        work = [buf[..., :m, :] for buf in work]
+    hidden, err, d_out, d_pre, slope = work
+    np.matmul(z, w1.mT, out=hidden)
+    hidden += b1[..., None, :]
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, w2.mT, out=err)
+    err += b2[..., None, :]
+    err -= labels
+    np.multiply(err, 2.0, out=d_out)
+    d_out /= m
+    np.matmul(d_out, w2, out=d_pre)
+    np.square(hidden, out=slope)
+    np.subtract(1.0, slope, out=slope)
+    d_pre *= slope
+    np.matmul(d_pre.mT, z, out=g_w1)
+    np.add.reduce(d_pre, axis=-2, out=g_b1)
+    np.matmul(d_out.mT, hidden, out=g_w2)
+    np.add.reduce(d_out, axis=-2, out=g_b2)
+    return err
+
+
+def _workspace(params, rows: int) -> list[np.ndarray]:
+    """`_backprop`'s buffers for up to `rows` rows: hidden, err, d_out, d_pre, slope."""
+    w1, _, w2, _ = params
+    lead, hidden, action = w1.shape[:-2], w1.shape[-2], w2.shape[-2]
+    return [np.empty(lead + (rows, width)) for width in (hidden, action, action, hidden, hidden)]
+
+
+def _views(flat: np.ndarray, like) -> list[np.ndarray]:
+    """`flat` cut into consecutive views shaped like the arrays of `like`."""
+    ends = np.cumsum([p.size for p in like])
+    return [flat[end - p.size:end].reshape(p.shape) for p, end in zip(like, ends)]
+
+
+def _gradient(params, z, labels):
+    """`_backprop` into fresh arrays; returns (err, g_w1, g_b1, g_w2, g_b2)."""
+    grads = [np.empty(p.shape) for p in params]
+    return (_backprop(params, z, labels, grads, _workspace(params, z.shape[-2])), *grads)
 
 
 def loss_and_grad(policy: MLPPolicy, states: np.ndarray, labels: np.ndarray):
@@ -145,13 +181,30 @@ def _sgd_epochs(params, z, labels, perms, config: TrainConfig) -> None:
     shape (epochs, n). With shape (epochs, members, n) and a leading member
     axis on every parameter, the members train in lockstep, each on its own
     rows of the stack.
+
+    Each epoch gathers its permuted rows once; the parameters and gradients
+    are views of one flat vector each, so a step is `grad *= lr; flat -= grad`,
+    and every intermediate lives in buffers allocated once per call. The
+    operations are those of `lr * grad` and a fresh array per intermediate,
+    in the same order, so the bits are too.
     """
-    lr = config.learning_rate
+    lr, size = config.learning_rate, config.batch_size
+    flat = np.concatenate([p.ravel() for p in params])
+    grad = np.empty_like(flat)
+    weights, grads = _views(flat, params), _views(grad, params)
+    work = _workspace(params, min(size, perms.shape[-1]))
+    z_perm = np.empty(perms.shape[1:] + z.shape[-1:])
+    labels_perm = np.empty(perms.shape[1:] + labels.shape[-1:])
     for perm in perms:
-        for start in range(0, perm.shape[-1], config.batch_size):
-            idx = perm[..., start:start + config.batch_size]
-            for param, grad in zip(params, _gradient(params, z[idx], labels[idx])[1:]):
-                param -= lr * grad
+        np.take(z, perm, axis=0, out=z_perm)
+        np.take(labels, perm, axis=0, out=labels_perm)
+        for start in range(0, perm.shape[-1], size):
+            rows = slice(start, start + size)
+            _backprop(weights, z_perm[..., rows, :], labels_perm[..., rows, :], grads, work)
+            grad *= lr
+            flat -= grad
+    for param, weight in zip(params, weights):
+        param[...] = weight
 
 
 def _shuffle_into(rows, rng: np.random.Generator) -> None:

@@ -119,8 +119,8 @@ def label_queries(expert, trajectory: Trajectory, queries: QuerySet):
     (multiset semantics).
     """
     if len(queries) == 0:
-        d = trajectory.states.shape[1]
-        return np.zeros((0, d)), np.zeros((0, 0))
+        return (np.zeros((0, trajectory.states.shape[1])),
+                np.zeros((0, trajectory.actions.shape[1])))
     if queries.indices.min() < 0 or queries.indices.max() >= trajectory.length:
         raise ConfigurationError("query indices out of range")
     states = trajectory.states[queries.indices]

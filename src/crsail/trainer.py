@@ -1,8 +1,12 @@
 """The training loop: rollout, post hoc querying, aggregation, update.
 
-Budgets are checked only at loop entry, so the episode that crosses a budget
-runs to completion and its queries are counted. Evaluation rollouts are
-seeded separately and never touch the step or query counters.
+Budgets are checked once per iteration, after its update and just before its
+evaluation block, so the episode that crosses a budget runs to completion and
+its queries are counted, and no episode is rolled out past a budget. While
+the budget holds, the evaluation block also rolls out the next iteration's
+training episode as one more row: it uses the policy just evaluated, and the
+block gives it the bits it gets alone. Evaluation rollouts are seeded
+separately and never touch the step or query counters.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from crsail.conformal import CalibratedThreshold, calibrate_radius
 from crsail.core import evaluate_policy, rollout, rollouts, seed_sequence
 from crsail.dataset import ExpertDataset
-from crsail.exceptions import ConfigurationError, InvariantError
+from crsail.exceptions import ConfigurationError, InvariantError, NumericalFailureError
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, update
 from crsail.strategies import StrategyConfig, label_queries, select_queries
 
@@ -75,6 +79,15 @@ class Budget:
 
 @dataclass
 class EpisodeMetrics:
+    """One training iteration's counts, evaluation and time.
+
+    `wall_time` runs from the end of the previous episode's (episode 0's from
+    the start of the loop, so it covers its own rollout). It covers any
+    recalibration since then, the selection, labelling and update, and the
+    evaluation block that carries the next training episode; the episodes'
+    times add up to the training loop's.
+    """
+
     episode: int
     length: int
     n_queries: int
@@ -182,6 +195,12 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
     required. `recalibrate_every` > 0 re-runs calibration with the current
     policy and dataset every that many episodes (off by default; it is known
     to flatten the query-rate decay).
+
+    Iteration 0 rolls out its own training episode; every later one is the
+    carried last row of the previous iteration's evaluation block, which is
+    rolled out only if the budget is not yet exhausted. A failure notes the
+    training iteration it belongs to; a failing evaluation row notes the
+    iteration whose policy it evaluated.
     """
     if strategy.kind == "crsail" and threshold is None:
         raise ConfigurationError("crsail strategy requires a calibrated threshold")
@@ -199,11 +218,12 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
         expert_mean=expert_mean,
     )
 
-    i, steps, queries = 0, 0, 0
-    while not budget.exhausted(queries, steps, i):
-        t0 = time.perf_counter()
+    i, steps, queries, traj = 0, 0, 0, None
+    t0 = time.perf_counter()
+    while True:
         try:
-            traj = rollout(env, policy, rollout_ss.spawn(1)[0])
+            if traj is None:  # iteration 0; later episodes come from the evaluation block
+                traj = rollout(env, policy, rollout_ss.spawn(1)[0])
             ensemble = None
             if strategy.kind == "ensemble-variance":  # bootstrap members, for the doubt score
                 ensemble = behavioral_cloning(dataset, train_config, update_rng,
@@ -218,14 +238,25 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
             raise
         steps += traj.length
         queries += len(qs)
-        eval_mean, eval_std = evaluate_policy(env, policy, eval_episodes, eval_ss.spawn(1)[0])
+        more = not budget.exhausted(queries, steps, i + 1)
+        try:  # with `more`, episode i + 1 is the block's last row
+            eval_mean, eval_std, carried = evaluate_policy(
+                env, policy, eval_episodes, eval_ss.spawn(1)[0],
+                rollout_ss.spawn(1)[0] if more else None)
+        except NumericalFailureError as exc:
+            exc.add_note(f"in training iteration {i + 1}" if exc.episode == eval_episodes
+                         else f"in the evaluation after training iteration {i}")
+            raise
         flag = int(expert_mean is not None and is_expert_level(eval_mean, expert_mean))
+        t1 = time.perf_counter()
         record.episodes.append(EpisodeMetrics(
             episode=i, length=traj.length, n_queries=len(qs), steps_cum=steps,
             queries_cum=queries, eval_mean=eval_mean, eval_std=eval_std,
-            wall_time=time.perf_counter() - t0, converged_flag=flag,
+            wall_time=t1 - t0, converged_flag=flag,
         ))
-        i += 1
+        i, t0, traj = i + 1, t1, carried
+        if not more:
+            break
         if recalibrate_every > 0 and i % recalibrate_every == 0 and strategy.kind == "crsail":
             radius = calibrate_radius(env, policy, dataset, strategy, m_cal,
                                       recal_ss.spawn(1)[0]).radius

@@ -1,16 +1,21 @@
 """Regenerate the golden run records that `tests/test_goldens.py` compares against.
 
-    python tests/goldens/regen.py
+    python tests/goldens/regen.py           # rewrite the fixture
+    python tests/goldens/regen.py --check   # compare with it, write nothing
 
 Each case is one short `harness.run` (one M, one seed, workers=1). The fixture
 keeps each run's record without its `wall_time` fields, and the run CSV as
 written. Regenerate only in a change that means to move results; see the
-README ("Golden run records") for what such a change must report.
+README ("Golden run records") for what such a change must report. `--check`
+prints that report: per case, the largest change of each float field and
+the other fields that moved; it exits 1 if anything moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -74,13 +79,61 @@ def run_case(name: str, output_dir) -> dict:
         return {"record": strip_timers(records[0]), "csv": fh.read()}
 
 
+def _leaves(value, path=""):
+    """(path, value) for each scalar of a nested record; the items of a list
+    share the list's path, suffixed with []."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaves(item, path + "[]")
+    else:
+        yield path, value
+
+
+def compare(expected: dict, actual: dict) -> list[str]:
+    """Report lines for one case: the largest change of each float field, the
+    other fields that moved, and whether the CSV differs. Empty if nothing moved."""
+    old, new = list(_leaves(expected["record"])), list(_leaves(actual["record"]))
+    if [path for path, _ in old] != [path for path, _ in new]:
+        return [f"  record layout moved: {len(old)} fields -> {len(new)} "
+                "(an episode count or a config key changed)"]
+    largest, moved = {}, []
+    for (path, a), (_, b) in zip(old, new):
+        if isinstance(a, float) and isinstance(b, float):
+            change = 0.0 if a.hex() == b.hex() else abs(b - a)
+            largest[path] = max(largest.get(path, 0.0), math.inf if math.isnan(change) else change)
+        elif a != b or type(a) is not type(b):
+            moved.append(path)
+    lines = [f"  float {path}: largest change {change:.3g}"
+             for path, change in largest.items() if change]
+    lines += [f"  moved: {path}" for path in dict.fromkeys(moved)]
+    if expected["csv"] != actual["csv"]:
+        lines.append("  csv differs")
+    return lines
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare the cases with the fixture instead of rewriting it")
+    args = parser.parse_args()
     sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
-    entries = {}
+    golden = json.loads(FIXTURE.read_text()) if args.check else {}
+    entries, any_moved = {}, False
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             entries[name] = run_case(name, tmp)
-        print(f"{name}: {entries[name]['record']['summary']}")
+        if not args.check:
+            print(f"{name}: {entries[name]['record']['summary']}")
+            continue
+        lines = compare(golden[name], entries[name]) if name in golden else ["  not in fixture"]
+        any_moved = any_moved or bool(lines)
+        print(f"{name}: {'moved' if lines else 'bit-identical, no field moved'}", *lines,
+              sep="\n")
+    if args.check:
+        sys.exit(1 if any_moved else 0)
     FIXTURE.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {FIXTURE}")
 

@@ -85,23 +85,21 @@ def test_actor_must_give_one_action_row_per_state():
 
 
 def test_evaluate_zero_reward_env():
-    mean, std = evaluate_policy(DummyZeroRewardEnv(), ZeroPolicy(1), 10, 0)
-    assert mean == 0.0 and std == 0.0
+    assert evaluate_policy(DummyZeroRewardEnv(), ZeroPolicy(1), 10, 0) == (0.0, 0.0, None)
 
 
 def test_evaluate_expert_monte_carlo_stability():
     env = make_env("pendulum")
     expert = make_expert(env)
-    m1, _ = evaluate_policy(env, expert, 20, 1)
-    m2, _ = evaluate_policy(env, expert, 20, 2)
+    m1, _, _ = evaluate_policy(env, expert, 20, 1)
+    m2, _, _ = evaluate_policy(env, expert, 20, 2)
     assert abs(m1 - m2) <= 0.1 * max(abs(m1), abs(m2))
 
 
 def test_surviving_policy_returns_exactly_t_max():
     env = make_env("pendulum")
     expert = make_expert(env)
-    mean, std = evaluate_policy(env, expert, 20, 3)
-    assert mean == 200.0 and std == 0.0
+    assert evaluate_policy(env, expert, 20, 3) == (200.0, 0.0, None)
 
 
 def test_evaluate_episode_i_runs_on_child_i_of_the_seed():
@@ -109,7 +107,31 @@ def test_evaluate_episode_i_runs_on_child_i_of_the_seed():
     policy = ZeroPolicy(1)
     returns = [rollout(env, policy, child).episode_return
                for child in np.random.SeedSequence(4).spawn(6)]
-    assert evaluate_policy(env, policy, 6, 4) == (np.mean(returns), np.std(returns))
+    assert evaluate_policy(env, policy, 6, 4) == (np.mean(returns), np.std(returns), None)
+
+
+@pytest.mark.parametrize("kind", ["pendulum", "pusher"])
+def test_evaluate_carries_one_more_episode_with_its_own_bits(kind):
+    env = make_env(kind)
+    policy = _wild_policy(env, 5)
+    carry = np.random.SeedSequence(12)
+    mean, std, carried = evaluate_policy(env, policy, 7, 4, carry)
+    assert (mean, std, None) == evaluate_policy(env, policy, 7, 4)  # not in the statistics
+    alone = rollout(env, policy, carry)
+    assert same_bits(carried.states, alone.states)
+    assert same_bits(carried.actions, alone.actions)
+    assert same_bits(carried.rewards, alone.rewards)
+
+
+def test_failure_in_the_carried_episode_names_it():
+    env = make_env("pusher")
+    carry = np.random.SeedSequence(3)
+    start = rollout(env, ZeroPolicy(2), carry).states[0]
+    policy = GoesNaNInOneEpisode(goal_x=start[4], start_x=start[0])
+    with pytest.raises(NumericalFailureError,
+                       match=r"^non-finite action at step 3 of episode 5$") as err:
+        evaluate_policy(env, policy, 5, 8, carry)
+    assert (err.value.step_index, err.value.episode) == (3, 5)
 
 
 def test_evaluate_requires_positive_episodes():
@@ -183,7 +205,7 @@ def test_non_finite_action_in_one_episode_names_the_episode_and_step():
         with pytest.raises(NumericalFailureError,
                            match=r"^non-finite action at step 3 of episode 2$") as err:
             call()
-        assert err.value.step_index == 3
+        assert (err.value.step_index, err.value.episode) == (3, 2)
     assert rollouts(env, policy, episode_seeds(8, 2))[1].length == env.t_max  # the others run on
 
 

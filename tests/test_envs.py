@@ -100,8 +100,8 @@ def test_pendulum_expert_certification():
 def test_pusher_expert_beats_zero_policy_3x():
     env = make_env("pusher")
     expert = make_expert(env)
-    expert_mean, _ = evaluate_policy(env, expert, 200, 7)
-    zero_mean, _ = evaluate_policy(env, ZeroPolicy(2), 200, 7)
+    expert_mean, _, _ = evaluate_policy(env, expert, 200, 7)
+    zero_mean, _, _ = evaluate_policy(env, ZeroPolicy(2), 200, 7)
     assert expert_mean > zero_mean
     assert expert_mean >= zero_mean / 3.0
 

@@ -6,11 +6,12 @@ equal, and every float must have the same bits. `goldens/regen.py` rebuilds
 the fixture; a change regenerates it only when it means to move results.
 """
 
+import copy
 import json
 
 import pytest
 
-from goldens.regen import CASES, FIXTURE, case_config, run_case, strip_timers
+from goldens.regen import CASES, FIXTURE, case_config, compare, run_case, strip_timers
 
 from crsail.harness import run
 
@@ -49,3 +50,17 @@ def test_workers_give_equal_records(tmp_path):
         by_workers[workers] = [_bits(strip_timers(r)) for r in records]
     assert by_workers[1] == by_workers[2]
     assert by_workers[1][0] == _bits(GOLDEN["pendulum-crsail"]["record"])
+
+
+def test_check_reports_each_moved_field():
+    expected = GOLDEN["pendulum-dagger"]
+    assert compare(expected, copy.deepcopy(expected)) == []
+    actual = copy.deepcopy(expected)
+    for episode in actual["record"]["episodes"][:2]:
+        episode["eval_std"] += 0.25
+    actual["record"]["episodes"][1]["n_queries"] += 1
+    actual["csv"] += "\n"
+    assert compare(expected, actual) == ["  float episodes[].eval_std: largest change 0.25",
+                                         "  moved: episodes[].n_queries", "  csv differs"]
+    del actual["record"]["episodes"][0]
+    assert compare(expected, actual)[0].startswith("  record layout moved")

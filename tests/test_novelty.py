@@ -215,6 +215,20 @@ def test_append_rejects_non_finite_labels_naming_label_and_row():
     assert len(ds) == 3  # nothing was appended
 
 
+def test_initial_pairs_are_checked_as_appended_ones_are():
+    states = np.zeros((3, 2))
+    with pytest.raises(NumericalFailureError, match=r"label \[nan\].*\(row 2 of the dataset\)"):
+        ExpertDataset(states, np.array([[0.5], [1.0], [np.nan]]))
+    with pytest.raises(ConfigurationError, match="count mismatch: 3 vs 2"):
+        ExpertDataset(states, np.zeros((2, 1)))
+    with pytest.raises(ConfigurationError, match="mismatched dimensions"):
+        ExpertDataset(np.zeros((3, 2, 1)), np.zeros((3, 1)))
+    ds = ExpertDataset(states, np.zeros((3, 1)))
+    with pytest.raises(ConfigurationError, match="mismatched dimensions"):
+        ds.append(np.zeros((0, 2)), np.zeros((0, 2)))  # an empty block of the wrong width
+    assert len(ds) == 3
+
+
 def test_append_rejects_mismatched_row_counts():
     ds = ExpertDataset(np.zeros((4, 2)), np.zeros((4, 1)))
     with pytest.raises(ConfigurationError, match="count mismatch: 3 vs 1"):

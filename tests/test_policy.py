@@ -8,10 +8,12 @@ from crsail.dataset import ExpertDataset, Standardizer
 from crsail.envs import make_env, make_expert
 from crsail.exceptions import ConfigurationError
 from crsail.policy import (
+    HIDDEN,
     PARAMS,
     MLPPolicy,
     TrainConfig,
     _gradient,
+    _sgd_epochs,
     behavioral_cloning,
     loss_and_grad,
     update,
@@ -125,6 +127,57 @@ def test_stacked_gradient_is_each_members_gradient():
         assert all(same_bits(s[e], g) for s, g in zip(stacked, own))
         slice_grads = dict(zip(PARAMS, (s[e] for s in stacked[1:])))
         assert_grads_close(slice_grads, numerical_grad(policy, states[e], labels[e]))
+
+
+def _reference_gradient(params, z, labels):
+    """The gradient written with a fresh array for every intermediate: the
+    arithmetic `_backprop` must reproduce in its buffers."""
+    w1, b1, w2, b2 = params
+    n = z.shape[-2]
+    hidden = np.tanh(z @ np.swapaxes(w1, -1, -2) + b1[..., None, :])
+    err = hidden @ np.swapaxes(w2, -1, -2) + b2[..., None, :] - labels
+    d_out = 2.0 * err / n
+    d_pre = (d_out @ w2) * (1.0 - hidden**2)
+    return (err, np.swapaxes(d_pre, -1, -2) @ z, d_pre.sum(axis=-2),
+            np.swapaxes(d_out, -1, -2) @ hidden, d_out.sum(axis=-2))
+
+
+def _reference_sgd_epochs(params, z, labels, perms, config):
+    """The SGD loop that gathers each minibatch's rows anew and allocates every
+    step: the oracle for `_sgd_epochs`."""
+    for perm in perms:
+        for start in range(0, perm.shape[-1], config.batch_size):
+            idx = perm[..., start:start + config.batch_size]
+            for param, grad in zip(params, _reference_gradient(params, z[idx], labels[idx])[1:]):
+                param -= config.learning_rate * grad
+
+
+@pytest.mark.parametrize("members", [None, 3])
+@pytest.mark.parametrize("n, batch_size", [
+    (150, 64),  # the last minibatch of each epoch is short
+    (40, 64),   # batch_size > n: one short minibatch per epoch
+    (128, 64),
+    (37, 1),
+])
+def test_sgd_loop_equals_the_reference_loop(members, n, batch_size):
+    rng = np.random.default_rng(n + batch_size)
+    count, lead = members or 1, () if members is None else (members,)
+    params = [0.5 * rng.standard_normal(lead + shape)
+              for shape in ((HIDDEN, 6), (HIDDEN,), (2, HIDDEN), (2,))]
+    z, labels = rng.standard_normal((count * n, 6)), rng.standard_normal((count * n, 2))
+    perms = np.array([[rng.permutation(n) + e * n for e in range(count)] for _ in range(4)])
+    if members is None:
+        perms = perms[:, 0]
+    config = TrainConfig(learning_rate=0.05, batch_size=batch_size)
+    first = perms[0][..., :batch_size]
+    for got, want in zip(_gradient(params, z[first], labels[first]),
+                         _reference_gradient(params, z[first], labels[first])):
+        assert same_bits(got, want)
+    initial, expected = params[0].copy(), [p.copy() for p in params]
+    _reference_sgd_epochs(expected, z, labels, perms, config)
+    _sgd_epochs(params, z, labels, perms, config)
+    assert all(same_bits(p, e) for p, e in zip(params, expected))
+    assert not same_bits(params[0], initial)  # the loop updated the caller's arrays
 
 
 def test_dimension_mismatch_rejected():

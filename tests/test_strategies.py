@@ -187,7 +187,7 @@ def test_label_queries_multiset_semantics():
 def test_label_queries_empty_and_out_of_range():
     traj = make_trajectory([0.0, 1.0, 2.0])
     states, actions = label_queries(ConstantExpert(0.0), traj, QuerySet(np.array([], dtype=int)))
-    assert states.shape == (0, 1) and len(actions) == 0
+    assert states.shape == (0, 1) and actions.shape == (0, 1)
     with pytest.raises(ConfigurationError):
         label_queries(ConstantExpert(0.0), traj, QuerySet(np.array([2])))  # length is 2
 

@@ -7,8 +7,8 @@ import pytest
 
 import crsail.trainer
 from crsail.conformal import calibrate_radius
-from crsail.core import evaluate_policy, rollout
-from crsail.envs import make_env, make_expert
+from crsail.core import rollout
+from crsail.envs import Pendulum, Pusher, make_env, make_expert
 from crsail.exceptions import ConfigurationError, InvariantError, NumericalFailureError
 from crsail.policy import TrainConfig, behavioral_cloning
 from crsail.strategies import StrategyConfig
@@ -344,6 +344,87 @@ def test_failure_keeps_step_index_of_numerical_error():
               Budget(max_steps=300), FAST, 0)
     assert info.value.step_index == 0
     assert "non-finite action at step 0" in str(info.value)
+
+
+def _training_seed(seed, iteration):
+    """The seed `train(..., seed)` rolls out training episode `iteration` on."""
+    return np.random.SeedSequence(seed).spawn(5)[0].spawn(iteration + 1)[iteration]
+
+
+class PoisonedPusher(Pusher):
+    """Steps the state of the episode with goal x-coordinate `goal_x` to NaN at
+    that episode's step `at`."""
+
+    def __init__(self, goal_x, at):
+        super().__init__()
+        self.goal_x, self.at, self.seen = goal_x, at, 0
+
+    def step(self, state, action):
+        x, reward, terminal = super().step(state, action)
+        mine = state[..., 4] == self.goal_x
+        if mine.any():
+            self.seen += 1
+            if self.seen == self.at + 1:
+                x = np.where(mine[..., None], np.nan, x)
+        return x, reward, terminal
+
+
+@pytest.mark.parametrize("seed, episode, note", [
+    # training episode 1 is the last row of iteration 0's evaluation block
+    (_training_seed(0, 1), 3, "in training iteration 1"),
+    # evaluation row 1 of iteration 0's block: child 1 of the block's seed, child 0 of eval_ss
+    (np.random.SeedSequence(0).spawn(5)[1].spawn(1)[0].spawn(3)[1], 1,
+     "in the evaluation after training iteration 0"),
+], ids=["training-row", "evaluation-row"])
+def test_failure_in_an_evaluation_block_notes_whose_row_failed(seed, episode, note):
+    _, expert, dataset, policy = _initial("pusher")
+    env = PoisonedPusher(goal_x=make_env("pusher").reset(np.random.default_rng(seed))[4], at=4)
+    with pytest.raises(NumericalFailureError) as info:
+        train(env, expert, dataset, policy, StrategyConfig("dagger"),
+              Budget(max_steps=300), FAST, 0, eval_episodes=3)
+    assert str(info.value) == f"non-finite state at step 4 of episode {episode}"
+    assert (info.value.step_index, info.value.episode) == (4, episode)
+    assert info.value.__notes__ == [note]
+
+
+@pytest.mark.parametrize("strategy, budget", [
+    (StrategyConfig("dagger"), Budget(max_steps=450)),
+    (StrategyConfig("dagger"), Budget(max_queries=450)),  # ends on the query count
+    (StrategyConfig("fixed-threshold", tau=1e9), Budget(max_queries=3)),  # on the episode count
+])
+def test_each_training_episode_is_rolled_out_once_with_its_own_bits(monkeypatch, strategy,
+                                                                   budget):
+    class CountingPendulum(Pendulum):
+        resets = 0
+
+        def reset(self, rng):
+            self.resets += 1
+            return super().reset(rng)
+
+    env = CountingPendulum()
+    _, expert, dataset, policy = _initial()
+    trajectories, policies = [], [policy]
+    real_select, real_update = crsail.trainer.select_queries, crsail.trainer.update
+
+    def select(strategy, trajectory, *args, **kwargs):
+        trajectories.append(trajectory)
+        return real_select(strategy, trajectory, *args, **kwargs)
+
+    def update(*args, **kwargs):
+        policies.append(real_update(*args, **kwargs))
+        return policies[-1]
+
+    monkeypatch.setattr(crsail.trainer, "select_queries", select)
+    monkeypatch.setattr(crsail.trainer, "update", update)
+    _, record = train(env, expert, dataset, policy, strategy, budget, FAST, 0, eval_episodes=3)
+    n = len(record.episodes)
+    assert n >= 2 and len(trajectories) == n
+    assert env.resets == 3 * n + n  # each block's evaluation rows, and one episode each
+    for i, trajectory in enumerate(trajectories):
+        alone = rollout(env, policies[i], _training_seed(0, i))
+        assert same_bits(trajectory.states, alone.states)
+        assert same_bits(trajectory.actions, alone.actions)
+        assert same_bits(trajectory.rewards, alone.rewards)
 
 
 def test_failure_keeps_type_and_attributes_of_any_exception():
