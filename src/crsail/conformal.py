@@ -4,8 +4,8 @@ Rolls out the frozen initial policy, scores the visited states against the
 initial expert dataset, and sets the threshold R as the finite-sample
 (1 - alpha) quantile: the m-th order statistic with
 m = ceil((N_cal + 1)(1 - alpha)). K, the backend and alpha all come from the
-crsail `StrategyConfig`. Calibration happens once; the threshold is never
-recomputed during training unless explicitly requested.
+crsail `StrategyConfig`. Calibration happens once per run; the threshold is
+never recomputed during training.
 """
 
 from __future__ import annotations

@@ -103,7 +103,6 @@ class ExperimentConfig:
     strategy_params: dict = _section("strategy", StrategyConfig, default_factory=dict)
     train_params: dict = _section("train", TrainConfig, default_factory=dict)
     m_cal: int = _section("conformal", default=30)
-    recalibrate_every: int = _section("conformal", default=0)
     max_steps: int | None = _section("budget", default=10000)
     max_queries: int | None = _section("budget", default=None)
 
@@ -112,9 +111,8 @@ class ExperimentConfig:
             raise ConfigurationError("config must set experiment.env")
         if not self.strategy:
             raise ConfigurationError("config must set experiment.strategy")
-        # episode counts of every run, the process count, the recalibration period
-        for name, low in (("eval_episodes", 1), ("m_cal", 1), ("workers", 1),
-                          ("recalibrate_every", 0)):
+        # episode counts of every run, the process count
+        for name, low in (("eval_episodes", 1), ("m_cal", 1), ("workers", 1)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name, low in (("seeds", 0), ("m_values", 1)):  # the grid's axes
@@ -136,6 +134,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_parser(cls, parser: configparser.ConfigParser) -> "ExperimentConfig":
+        if parser.defaults():  # configparser would copy these keys into every section
+            raise ConfigurationError(f"unknown config section [{parser.default_section}]")
         kwargs: dict = {}
         layout = cls._layout()
         for section in parser.sections():
@@ -169,18 +169,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, overrides: list[str] | None = None) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigurationError(f"config file not found: {path}")
-        for item in overrides or []:
-            if "=" not in item or "." not in item.split("=", 1)[0]:
-                raise ConfigurationError(f"override must look like section.key=value: {item!r}")
-            target, value = item.split("=", 1)
-            section, key = target.split(".", 1)
-            if not parser.has_section(section):
-                parser.add_section(section)
-            parser.set(section.strip(), key.strip(), value.strip())
+        """The config in INI file `path`, each `section.key=value` override set
+        over it. Values are literal (`%` is no interpolation), and a file or
+        override configparser cannot read is a ConfigurationError."""
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            if not parser.read(path):
+                raise ConfigurationError(f"config file not found: {path}")
+            for item in overrides or []:
+                if "=" not in item or "." not in item.split("=", 1)[0]:
+                    raise ConfigurationError(
+                        f"override must look like section.key=value: {item!r}")
+                target, value = item.split("=", 1)
+                section, key = (part.strip() for part in target.split(".", 1))
+                parser.read_dict({section: {key: value.strip()}})
+        except configparser.Error as exc:  # its messages span lines
+            raise ConfigurationError(" ".join(str(exc).split())) from None
         return cls.from_parser(parser)
 
     def make_strategy_config(self) -> StrategyConfig:
@@ -227,7 +231,6 @@ def run_single(config: ExperimentConfig, m: int, seed: int) -> RunRecord:
     _, record = train(
         env, expert, dataset, policy, strategy, budget, train_config, (seed, 104),
         threshold=threshold, expert_mean=expert_mean, eval_episodes=config.eval_episodes,
-        recalibrate_every=config.recalibrate_every, m_cal=config.m_cal,
         run_config=config.snapshot(m, seed),
     )
     return record
@@ -257,12 +260,16 @@ class _InProcess(Executor):
 def run(config: ExperimentConfig) -> tuple[list[RunRecord], list[str]]:
     """Execute the (M, seed) grid; returns completed records and failure notes.
 
-    A failed run leaves a note with its traceback; a worker's traceback
-    arrives as the exception's cause, which `format_exc` prints too.
+    Runs go to at most `workers` processes, and to no more than there are
+    runs; with one, they run in this process. A failed run leaves a note with
+    its traceback; a worker's traceback arrives as the exception's cause,
+    which `format_exc` prints too.
     """
     jobs = [(m, seed) for m in config.m_values for seed in config.seeds]
     records, failures = [], []
-    pool = ProcessPoolExecutor(config.workers) if config.workers > 1 else _InProcess()
+    # a fork-started pool forks all its workers on the first submit
+    workers = min(config.workers, len(jobs))
+    pool = ProcessPoolExecutor(workers) if workers > 1 else _InProcess()
     with pool:
         futures = [pool.submit(_run_and_persist, config, m, s) for m, s in jobs]
         for (m, s), future in zip(jobs, futures):

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from crsail.conformal import CalibratedThreshold, calibrate_radius
+from crsail.conformal import CalibratedThreshold
 from crsail.core import evaluate_policy, rollout, rollouts, seed_sequence
 from crsail.dataset import ExpertDataset
 from crsail.exceptions import ConfigurationError, InvariantError, NumericalFailureError
@@ -82,10 +82,9 @@ class EpisodeMetrics:
     """One training iteration's counts, evaluation and time.
 
     `wall_time` runs from the end of the previous episode's (episode 0's from
-    the start of the loop, so it covers its own rollout). It covers any
-    recalibration since then, the selection, labelling and update, and the
-    evaluation block that carries the next training episode; the episodes'
-    times add up to the training loop's.
+    the start of the loop, so it covers its own rollout). It covers the
+    selection, labelling and update, and the evaluation block that carries the
+    next training episode; the episodes' times add up to the training loop's.
     """
 
     episode: int
@@ -186,15 +185,12 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
           strategy: StrategyConfig, budget: Budget, train_config: TrainConfig,
           seed, threshold: CalibratedThreshold | None = None,
           expert_mean: float | None = None, eval_episodes: int = 20,
-          recalibrate_every: int = 0, m_cal: int = 30,
           run_config: dict | None = None) -> tuple[MLPPolicy, RunRecord]:
     """Iterate episodes until a budget is exhausted; returns the final policy.
 
     `dataset` and `policy` are the initial expert dataset and the policy
     behavior-cloned on it. For the crsail strategy a calibrated threshold is
-    required. `recalibrate_every` > 0 re-runs calibration with the current
-    policy and dataset every that many episodes (off by default; it is known
-    to flatten the query-rate decay).
+    required, and its radius gates every episode of the run.
 
     Iteration 0 rolls out its own training episode; every later one is the
     carried last row of the previous iteration's evaluation block, which is
@@ -204,7 +200,7 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
     """
     if strategy.kind == "crsail" and threshold is None:
         raise ConfigurationError("crsail strategy requires a calibrated threshold")
-    rollout_ss, eval_ss, update_ss, strat_ss, recal_ss = seed_sequence(seed).spawn(5)
+    rollout_ss, eval_ss, update_ss, strat_ss = seed_sequence(seed).spawn(4)
     update_rng = np.random.default_rng(update_ss)
     strat_rng = np.random.default_rng(strat_ss)
     radius = threshold.radius if threshold is not None else None
@@ -218,9 +214,9 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
         expert_mean=expert_mean,
     )
 
-    i, steps, queries, traj = 0, 0, 0, None
+    i, steps, queries, traj, more = 0, 0, 0, None, True
     t0 = time.perf_counter()
-    while True:
+    while more:
         try:
             if traj is None:  # iteration 0; later episodes come from the evaluation block
                 traj = rollout(env, policy, rollout_ss.spawn(1)[0])
@@ -255,11 +251,6 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
             wall_time=t1 - t0, converged_flag=flag,
         ))
         i, t0, traj = i + 1, t1, carried
-        if not more:
-            break
-        if recalibrate_every > 0 and i % recalibrate_every == 0 and strategy.kind == "crsail":
-            radius = calibrate_radius(env, policy, dataset, strategy, m_cal,
-                                      recal_ss.spawn(1)[0]).radius
 
     if len(dataset) != initial_size + queries:
         raise InvariantError(f"dataset holds {len(dataset)} pairs, expected "

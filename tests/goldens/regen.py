@@ -7,8 +7,9 @@ Each case is one short `harness.run` (one M, one seed, workers=1). The fixture
 keeps each run's record without its `wall_time` fields, and the run CSV as
 written. Regenerate only in a change that means to move results; see the
 README ("Golden run records") for what such a change must report. `--check`
-prints that report: per case, the largest change of each float field and
-the other fields that moved; it exits 1 if anything moved.
+prints that report: per case, each config key removed or added, the largest
+change of each float field and the other fields that moved; it exits 1 if
+anything moved.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ CASES = {
         {"env": "pusher", "strategy": "ensemble-variance", "max_steps": 300,
          "strategy_params": {"ensemble_size": 3},
          "train_params": {"retrain_from_scratch": True, "batch_size": 48}}, 200, 7),
-    # queries-only budget; the radius is recalibrated after episodes 2 and 4
-    "double-integrator-crsail-recalibrated": (
+    # queries-only budget, ended by its query cap in the second episode
+    "double-integrator-crsail-queries-budget": (
         {"env": "double_integrator", "strategy": "crsail", "max_steps": None,
-         "max_queries": 500, "recalibrate_every": 2}, 150, 6),
+         "max_queries": 250}, 150, 6),
 }
 
 
@@ -92,13 +93,29 @@ def _leaves(value, path=""):
         yield path, value
 
 
+def _shared_keys(old: dict, new: dict, path: str, lines: list) -> tuple[dict, dict]:
+    """`old` and `new` with only the keys both have, at every level of nesting,
+    in `old`'s order; a line for each key removed or added goes to `lines`."""
+    lines += [f"  config key removed: {path}.{key}" for key in old if key not in new]
+    lines += [f"  config key added: {path}.{key}" for key in new if key not in old]
+    pairs = {key: _shared_keys(old[key], new[key], f"{path}.{key}", lines)
+             if isinstance(old[key], dict) and isinstance(new[key], dict)
+             else (old[key], new[key]) for key in old if key in new}
+    return {key: a for key, (a, _) in pairs.items()}, {key: b for key, (_, b) in pairs.items()}
+
+
 def compare(expected: dict, actual: dict) -> list[str]:
-    """Report lines for one case: the largest change of each float field, the
-    other fields that moved, and whether the CSV differs. Empty if nothing moved."""
-    old, new = list(_leaves(expected["record"])), list(_leaves(actual["record"]))
+    """Report lines for one case: each config key removed or added, the largest
+    change of each float field, the other fields that moved, and whether the
+    CSV differs. Empty if nothing moved."""
+    lines: list[str] = []
+    old_config, new_config = _shared_keys(expected["record"]["config"],
+                                          actual["record"]["config"], "config", lines)
+    old = list(_leaves({**expected["record"], "config": old_config}))
+    new = list(_leaves({**actual["record"], "config": new_config}))
     if [path for path, _ in old] != [path for path, _ in new]:
-        return [f"  record layout moved: {len(old)} fields -> {len(new)} "
-                "(an episode count or a config key changed)"]
+        return lines + [f"  record layout moved: {len(old)} fields -> {len(new)} "
+                        "(an episode count or a record field changed)"]
     largest, moved = {}, []
     for (path, a), (_, b) in zip(old, new):
         if isinstance(a, float) and isinstance(b, float):
@@ -106,8 +123,8 @@ def compare(expected: dict, actual: dict) -> list[str]:
             largest[path] = max(largest.get(path, 0.0), math.inf if math.isnan(change) else change)
         elif a != b or type(a) is not type(b):
             moved.append(path)
-    lines = [f"  float {path}: largest change {change:.3g}"
-             for path, change in largest.items() if change]
+    lines += [f"  float {path}: largest change {change:.3g}"
+              for path, change in largest.items() if change]
     lines += [f"  moved: {path}" for path in dict.fromkeys(moved)]
     if expected["csv"] != actual["csv"]:
         lines.append("  csv differs")

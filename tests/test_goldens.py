@@ -8,12 +8,13 @@ the fixture; a change regenerates it only when it means to move results.
 
 import copy
 import json
+import warnings
 
 import pytest
 
 from goldens.regen import CASES, FIXTURE, case_config, compare, run_case, strip_timers
 
-from crsail.harness import run
+from crsail.harness import load_records, run, summarize
 
 GOLDEN = json.loads(FIXTURE.read_text())
 
@@ -62,5 +63,27 @@ def test_check_reports_each_moved_field():
     actual["csv"] += "\n"
     assert compare(expected, actual) == ["  float episodes[].eval_std: largest change 0.25",
                                          "  moved: episodes[].n_queries", "  csv differs"]
+    del actual["record"]["config"]["m_cal"]
+    actual["record"]["config"]["strategy_params"]["extra"] = 1
+    assert compare(expected, actual) == ["  config key removed: config.m_cal",
+                                         "  config key added: config.strategy_params.extra",
+                                         "  float episodes[].eval_std: largest change 0.25",
+                                         "  moved: episodes[].n_queries", "  csv differs"]
     del actual["record"]["episodes"][0]
-    assert compare(expected, actual)[0].startswith("  record layout moved")
+    assert compare(expected, actual)[2].startswith("  record layout moved")
+
+
+def test_records_with_the_removed_recalibrate_every_still_load(tmp_path):
+    # run directories written while [conformal] had recalibrate_every hold it in each config
+    data = copy.deepcopy(GOLDEN["pendulum-crsail"]["record"])
+    data["config"]["recalibrate_every"] = 0
+    for episode in data["episodes"]:
+        episode["wall_time"] = 0.0
+    (tmp_path / "crsail_M200_seed0.json").write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = load_records(tmp_path)
+    assert [r.to_dict() for r in records] == [data]
+    [row] = summarize(records)
+    assert (row["method"], row["m"], row["runs"]) == ("crsail", 200, 1)
+    assert row["total_queries_mean"] == data["summary"]["total_queries"]

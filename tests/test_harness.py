@@ -10,6 +10,7 @@ from crsail.exceptions import ConfigurationError
 from crsail.harness import (
     ExperimentConfig,
     _convert,
+    _InProcess,
     emit_plot_data,
     format_summary_text,
     load_records,
@@ -90,6 +91,34 @@ def test_set_overrides(config_path):
     assert config.max_steps == 50
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_file(config_path, overrides=["nodots"])
+
+
+def test_overrides_strip_section_and_key_and_keep_values_literal(config_path):
+    config = ExperimentConfig.from_file(
+        config_path, overrides=[" conformal .m_cal=5", "experiment.output_dir=runs%1"])
+    assert config.m_cal == 5
+    assert config.output_dir == "runs%1"
+
+
+@pytest.mark.parametrize("before, after, message", [
+    ("seeds = 0\n", "",
+     "File contains no section headers. file: '{path}', line: 1 'seeds = 0\\n'"),
+    ("", "max_steps = 5\n",
+     "While reading from '{path}' [line 14]: option 'max_steps' in section 'budget' "
+     "already exists"),
+    ("", "[budget]\n", "While reading from '{path}' [line 14]: section 'budget' already exists"),
+    ("", "[DEFAULT]\nm_cal = 5\n", "unknown config section [DEFAULT]"),
+], ids=["no-section-header", "duplicate-key", "duplicate-section", "default-section"])
+def test_unreadable_config_file_is_one_line_and_exit_2(config_path, capsys, before, after,
+                                                       message):
+    with open(config_path) as fh:
+        text = fh.read()
+    with open(config_path, "w") as fh:
+        fh.write(before + text + after)
+    assert main(["run", config_path, "--print-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"crsail run: {message.format(path=config_path)}\n"
 
 
 @pytest.mark.parametrize("override, message", [
@@ -188,7 +217,6 @@ def test_episode_counts_checked_at_load(config_path, override):
     ("budget.max_steps=0", "max_steps must be >= 1, got 0"),
     ("budget.max_steps=-5", "max_steps must be >= 1, got -5"),
     ("budget.max_queries=0", "max_queries must be >= 1, got 0"),
-    ("conformal.recalibrate_every=-3", "recalibrate_every must be >= 0, got -3"),
     ("experiment.workers=0", "workers must be >= 1, got 0"),
     ("experiment.workers=-2", "workers must be >= 1, got -2"),
 ])
@@ -204,8 +232,9 @@ def test_grid_checked_at_load(config_path, override, message):
                                       "strategy.alpha=1.5", "strategy.backend=bogus",
                                       "strategy.tau_doubt=-1", "budget.max_steps=0",
                                       "budget.max_queries=0",
-                                      "conformal.recalibrate_every=-3",
-                                      "experiment.workers=0", "experiment.workers=-2"])
+                                      "conformal.recalibrate_every=2",
+                                      "experiment.workers=0", "experiment.workers=-2",
+                                      "DEFAULT.x=1", ".x=1"])
 def test_cli_config_error_is_one_line_and_exit_2(config_path, capsys, command, override):
     argv = [command[0], config_path, *command[1:], "--set", override, "--print-config"]
     assert main(argv) == 2
@@ -389,7 +418,7 @@ def test_resolved_text_round_trips_every_field(tmp_path):
     config = ExperimentConfig(
         env="pusher", strategy="fixed-threshold", seeds=[3, 1], m_values=[40, 80],
         output_dir=str(tmp_path / "out"), workers=2, eval_episodes=7,
-        env_overrides={"dt": 0.05}, m_cal=11, recalibrate_every=4,
+        env_overrides={"dt": 0.05}, m_cal=11,
         max_steps=None, max_queries=900,
         strategy_params={"alpha": 0.8, "k": 3, "rate": 0.25, "tau": 0.4, "tau_doubt": 0.2,
                          "ensemble_size": 4, "backend": "kdtree"},
@@ -424,7 +453,8 @@ def test_every_dataclass_field_is_a_config_key(config_path, section, cls):
 
 @pytest.mark.parametrize("key", ["strategy.kind=dagger", "strategy.radius=1.0",
                                  "train.seed=3", "train.hidden=32",
-                                 "strategy.standardize=false"])
+                                 "strategy.standardize=false",
+                                 "conformal.recalibrate_every=2"])
 def test_harness_owned_and_removed_keys_are_rejected(config_path, key):
     with pytest.raises(ConfigurationError, match="unknown config key"):
         ExperimentConfig.from_file(config_path, overrides=[key])
@@ -439,6 +469,24 @@ def test_ini_and_direct_configs_resolve_alike(config_path):
     assert ini.snapshot(100, 0)["strategy_params"] == direct.snapshot(100, 0)["strategy_params"]
     assert direct.snapshot(100, 0)["train_params"] == {
         f.name: getattr(direct.make_train_config(), f.name) for f in _settable(TrainConfig)}
+
+
+@pytest.mark.parametrize("workers, seeds, pools", [(3, [0, 1], [2]), (2, [0], [])])
+def test_pool_never_outnumbers_the_runs(tmp_path, monkeypatch, workers, seeds, pools):
+    made = []
+
+    class RecordingPool(_InProcess):  # runs each job in this process, so nothing forks
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+    monkeypatch.setattr("crsail.harness.ProcessPoolExecutor", RecordingPool)
+    config = ExperimentConfig(env="pendulum", strategy="dagger", seeds=seeds, m_values=[50],
+                              output_dir=str(tmp_path), workers=workers, eval_episodes=2,
+                              max_steps=50, env_overrides={"t_max": 10},
+                              train_params={"bc_epochs": 2, "update_epochs": 1})
+    records, failures = run(config)
+    assert failures == [] and len(records) == len(seeds)
+    assert made == pools  # one run needs no pool at all
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -245,13 +245,6 @@ def test_fixed_threshold_strategy_runs():
     assert record.summary["total_steps"] >= 300
 
 
-def test_recalibration_updates_threshold_without_crashing():
-    _, record = small_run(StrategyConfig("crsail", alpha=0.9, k=5),
-                          budget=Budget(max_steps=800),
-                          recalibrate_every=2, m_cal=2)
-    assert record.summary["episodes"] >= 2
-
-
 def test_run_record_summary_and_queries_to_expert():
     eps = [
         EpisodeMetrics(0, 200, 150, 200, 150, 120.0, 3.0, 0.1, 0),
