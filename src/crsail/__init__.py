@@ -28,7 +28,7 @@ from crsail.envs import (
     make_expert,
 )
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, loss_and_grad, update
-from crsail.novelty import score_batch, score_sK
+from crsail.novelty import score_batch
 from crsail.conformal import (
     CalibratedThreshold,
     calibrate_radius,

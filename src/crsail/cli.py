@@ -11,6 +11,7 @@ from dataclasses import replace
 from crsail.exceptions import ConfigurationError
 from crsail.harness import (
     ExperimentConfig,
+    check_distinct,
     emit_plot_data,
     format_summary_text,
     load_records,
@@ -56,9 +57,11 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError(f"axis {name}: strategy {config.strategy} does not read {name}")
     kind = "float" if name == "alpha" else "int"
     base_outdir = config.output_dir
+    given = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    values = [parse_value(f"axis {name}", kind, val) for val in given]
+    check_distinct(f"axis {name}", values)
     points = []  # (value as given, its config); every point is checked before any runs
-    for val in [tok.strip() for tok in raw.split(",") if tok.strip()]:
-        value = parse_value(f"axis {name}", kind, val)
+    for val, value in zip(given, values):
         change = {"m_values": [value]} if name == "m" else \
             {"strategy_params": {**config.strategy_params, name: value}}
         points.append((val, replace(config, output_dir=os.path.join(base_outdir, f"{name}_{val}"),

@@ -73,6 +73,13 @@ def _format(value) -> str:
     return "" if value is None else str(value)
 
 
+def check_distinct(name: str, values) -> None:
+    """Reject a repeated grid point: its runs would write the same record files."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigurationError(f"{name} lists {repeated[0]} more than once")
+
+
 def _keys(cls) -> list[str]:
     return [f.name for f in fields(cls) if f.name != "kind"]  # kind is [experiment] strategy
 
@@ -103,7 +110,7 @@ class ExperimentConfig:
     strategy_params: dict = _section("strategy", StrategyConfig, default_factory=dict)
     train_params: dict = _section("train", TrainConfig, default_factory=dict)
     m_cal: int = _section("conformal", default=30)
-    max_steps: int | None = _section("budget", default=10000)
+    max_steps: int = _section("budget", default=10000)
     max_queries: int | None = _section("budget", default=None)
 
     def __post_init__(self):
@@ -121,6 +128,7 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must not be empty")
             if min(values) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {min(values)}")
+            check_distinct(name, values)
         unknown = [f"strategy.{key}" for key in self.strategy_params
                    if key not in _keys(StrategyConfig)]
         unknown += [f"train.{key}" for key in self.train_params if key not in _keys(TrainConfig)]
@@ -170,11 +178,12 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, overrides: list[str] | None = None) -> "ExperimentConfig":
         """The config in INI file `path`, each `section.key=value` override set
-        over it. Values are literal (`%` is no interpolation), and a file or
-        override configparser cannot read is a ConfigurationError."""
+        over it. The file is read as UTF-8 and values are literal (`%` is no
+        interpolation); a file or override that cannot be read is a
+        ConfigurationError."""
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            if not parser.read(path):
+            if not parser.read(path, encoding="utf-8"):
                 raise ConfigurationError(f"config file not found: {path}")
             for item in overrides or []:
                 if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -185,6 +194,8 @@ class ExperimentConfig:
                 parser.read_dict({section: {key: value.strip()}})
         except configparser.Error as exc:  # its messages span lines
             raise ConfigurationError(" ".join(str(exc).split())) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"config file {path} is not UTF-8: {exc}") from None
         return cls.from_parser(parser)
 
     def make_strategy_config(self) -> StrategyConfig:

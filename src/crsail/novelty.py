@@ -1,4 +1,5 @@
-"""Distance to the K-th nearest expert state as a novelty score.
+"""Distance to the K-th nearest expert state as a novelty score: the paper's
+s_K, computed for a batch of states by `score_batch`, the one entry point.
 
 Scores are Euclidean distances on standardized coordinates whenever the
 dataset carries a standardizer, as the policy's inputs are. Duplicates count
@@ -63,7 +64,3 @@ def score_batch(states, dataset: ExpertDataset, config: StrategyConfig) -> np.nd
         np.sqrt(sq[:, k - 1], out=out[start:start + len(block)])
     return out
 
-
-def score_sK(state, dataset: ExpertDataset, config: StrategyConfig) -> float:
-    """The paper's s_K: distance from one state to its K-th nearest neighbor."""
-    return float(score_batch(np.asarray(state)[None, :], dataset, config)[0])

@@ -75,23 +75,12 @@ class MLPPolicy:
             return x
         return self.standardizer.transform(x)
 
-    def forward(self, states: np.ndarray) -> np.ndarray:
-        """Batched forward pass; states shape (n, d) -> actions (n, a)."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if states.shape[1] != self.state_dim:
-            raise ConfigurationError(
-                f"state dim {states.shape[1]} does not match policy dim {self.state_dim}"
-            )
-        z = self._standardize(states)
-        hidden = np.tanh(z @ self.w1.T + self.b1)
-        return hidden @ self.w2.T + self.b2
-
     def act(self, state) -> np.ndarray:
         """The action for one state (d,), or one per row of a stack (n, d).
 
-        Each row is its own (1, d) product, so a row of a stack gets the same
-        bits as the row alone; `forward`'s one matmul over the batch does not
-        promise that.
+        The one forward pass: each row is its own (1, d) product, so a row of
+        a stack gets the same bits as the row alone, which one (n, d) matmul
+        over the batch does not promise.
         """
         z = self._standardize(np.asarray(state, dtype=np.float64))
         if z.shape[-1] != self.state_dim:

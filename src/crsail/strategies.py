@@ -95,7 +95,7 @@ def select_queries(strategy: StrategyConfig, trajectory: Trajectory, dataset: Ex
     if strategy.kind == "ensemble-variance":
         if not ensemble:
             raise ConfigurationError("ensemble-variance strategy requires an ensemble")
-        preds = np.stack([p.forward(visited) for p in ensemble])
+        preds = np.stack([act(p, visited) for p in ensemble])
         doubt = preds.std(axis=0).mean(axis=1)
         return QuerySet(indices=all_idx[doubt > strategy.tau_doubt], scores=doubt)
 

@@ -52,29 +52,23 @@ def write_csv(path, header, rows) -> None:
 
 @dataclass
 class Budget:
-    """Caps on expert labels and environment steps; None means unbounded.
+    """Caps on environment steps and, optionally, on expert labels; a run
+    ends when it reaches either. Every run has a step cap, so every run ends."""
 
-    A queries-only budget also ends after `max_queries` episodes, so a run
-    whose query rate falls to 0 still stops.
-    """
-
+    max_steps: int
     max_queries: int | None = None
-    max_steps: int | None = None
 
     def __post_init__(self):
-        if self.max_queries is None and self.max_steps is None:
-            raise ConfigurationError("at least one of max_queries/max_steps must be finite")
-        for name in ("max_queries", "max_steps"):
+        if self.max_steps is None:
+            raise ConfigurationError("max_steps must be set: every run needs a step cap")
+        for name in ("max_steps", "max_queries"):
             cap = getattr(self, name)
             if cap is not None and cap < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {cap}")
 
-    def exhausted(self, queries: int, steps: int, episodes: int) -> bool:
-        if self.max_queries is not None and queries >= self.max_queries:
-            return True
-        if self.max_steps is None:
-            return episodes >= self.max_queries
-        return steps >= self.max_steps
+    def exhausted(self, queries: int, steps: int) -> bool:
+        return steps >= self.max_steps or (self.max_queries is not None
+                                           and queries >= self.max_queries)
 
 
 @dataclass
@@ -186,7 +180,7 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
           seed, threshold: CalibratedThreshold | None = None,
           expert_mean: float | None = None, eval_episodes: int = 20,
           run_config: dict | None = None) -> tuple[MLPPolicy, RunRecord]:
-    """Iterate episodes until a budget is exhausted; returns the final policy.
+    """Iterate episodes until a step or query cap is reached; returns the final policy.
 
     `dataset` and `policy` are the initial expert dataset and the policy
     behavior-cloned on it. For the crsail strategy a calibrated threshold is
@@ -234,7 +228,7 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
             raise
         steps += traj.length
         queries += len(qs)
-        more = not budget.exhausted(queries, steps, i + 1)
+        more = not budget.exhausted(queries, steps)
         try:  # with `more`, episode i + 1 is the block's last row
             eval_mean, eval_std, carried = evaluate_policy(
                 env, policy, eval_episodes, eval_ss.spawn(1)[0],

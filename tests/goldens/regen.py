@@ -8,8 +8,8 @@ keeps each run's record without its `wall_time` fields, and the run CSV as
 written. Regenerate only in a change that means to move results; see the
 README ("Golden run records") for what such a change must report. `--check`
 prints that report: per case, each config key removed or added, the largest
-change of each float field and the other fields that moved; it exits 1 if
-anything moved.
+change of each float field and the other fields that moved, each with its
+first old and new value; it exits 1 if anything moved.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ CASES = {
         {"env": "pusher", "strategy": "ensemble-variance", "max_steps": 300,
          "strategy_params": {"ensemble_size": 3},
          "train_params": {"retrain_from_scratch": True, "batch_size": 48}}, 200, 7),
-    # queries-only budget, ended by its query cap in the second episode
+    # a query cap that ends the run in its second episode, long before the step cap
     "double-integrator-crsail-queries-budget": (
-        {"env": "double_integrator", "strategy": "crsail", "max_steps": None,
-         "max_queries": 250}, 150, 6),
+        {"env": "double_integrator", "strategy": "crsail", "max_queries": 250}, 150, 6),
 }
 
 
@@ -106,8 +105,9 @@ def _shared_keys(old: dict, new: dict, path: str, lines: list) -> tuple[dict, di
 
 def compare(expected: dict, actual: dict) -> list[str]:
     """Report lines for one case: each config key removed or added, the largest
-    change of each float field, the other fields that moved, and whether the
-    CSV differs. Empty if nothing moved."""
+    change of each float field, the other fields that moved (the first change
+    of each as `old -> new`, and how many more), and whether the CSV differs.
+    Empty if nothing moved."""
     lines: list[str] = []
     old_config, new_config = _shared_keys(expected["record"]["config"],
                                           actual["record"]["config"], "config", lines)
@@ -116,16 +116,18 @@ def compare(expected: dict, actual: dict) -> list[str]:
     if [path for path, _ in old] != [path for path, _ in new]:
         return lines + [f"  record layout moved: {len(old)} fields -> {len(new)} "
                         "(an episode count or a record field changed)"]
-    largest, moved = {}, []
+    largest, moved = {}, {}
     for (path, a), (_, b) in zip(old, new):
         if isinstance(a, float) and isinstance(b, float):
             change = 0.0 if a.hex() == b.hex() else abs(b - a)
             largest[path] = max(largest.get(path, 0.0), math.inf if math.isnan(change) else change)
         elif a != b or type(a) is not type(b):
-            moved.append(path)
+            moved.setdefault(path, []).append(f"{a!r} -> {b!r}")
     lines += [f"  float {path}: largest change {change:.3g}"
               for path, change in largest.items() if change]
-    lines += [f"  moved: {path}" for path in dict.fromkeys(moved)]
+    lines += [f"  moved: {path} ({changes[0]}"
+              + (f", and {len(changes) - 1} more)" if len(changes) > 1 else ")")
+              for path, changes in moved.items()]
     if expected["csv"] != actual["csv"]:
         lines.append("  csv differs")
     return lines

@@ -16,7 +16,7 @@ from crsail.core import rollout
 from crsail.dataset import ExpertDataset
 from crsail.envs import make_env, make_expert
 from crsail.harness import ExperimentConfig, run_single
-from crsail.novelty import score_batch, score_sK
+from crsail.novelty import score_batch
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, loss_and_grad
 from crsail.strategies import StrategyConfig
 from crsail.trainer import Budget, build_initial_dataset, train
@@ -146,11 +146,11 @@ def test_criterion_3_backend_equivalence(capsys):
         pts = rng.normal(size=(n, 3))
         ds = ExpertDataset(pts, np.zeros((n, 1)))
         x = rng.normal(size=3)
-        s = [score_sK(x, ds, knn(k)) for k in range(1, n + 1)]
+        s = [score_batch([x], ds, knn(k))[0] for k in range(1, n + 1)]
         invariants = invariants and all(a <= b for a, b in zip(s, s[1:]))
         before = s[0]
         ds.append(rng.normal(size=(1, 3)), np.zeros((1, 1)))
-        after = score_sK(x, ds, knn(1))
+        after = score_batch([x], ds, knn(1))[0]
         invariants = invariants and after <= before
     elapsed = time.perf_counter() - start
     ok = exact and invariants and elapsed < BACKEND_TIME_LIMIT
@@ -229,8 +229,7 @@ def test_criterion_5_training_loop_invariants(capsys):
         threshold = None
         if kind == "crsail":
             threshold = calibrate_radius(env, policy, dataset, strategy, 2, trial + 77)
-        # always cap steps: a queries-only budget can never exhaust under a
-        # strategy whose query rate drops to zero
+        # every budget caps steps; half the trials add a query cap
         max_queries = int(rng.integers(50, 300)) if rng.random() < 0.5 else None
         budget = Budget(max_steps=int(rng.integers(150, 500)), max_queries=max_queries)
         _, record = train(env, expert, dataset, policy, strategy, budget, fast,
@@ -250,11 +249,10 @@ def test_criterion_5_training_loop_invariants(capsys):
             ok = False
             notes.append(f"trial {trial}: steps_cum mismatch")
         # entry-checked budget: exhausted at exit, not before the last episode
-        if not budget.exhausted(eps[-1].queries_cum, eps[-1].steps_cum, len(eps)):
+        if not budget.exhausted(eps[-1].queries_cum, eps[-1].steps_cum):
             ok = False
             notes.append(f"trial {trial}: exited with budget left")
-        if len(eps) > 1 and budget.exhausted(eps[-2].queries_cum, eps[-2].steps_cum,
-                                             len(eps) - 1):
+        if len(eps) > 1 and budget.exhausted(eps[-2].queries_cum, eps[-2].steps_cum):
             ok = False
             notes.append(f"trial {trial}: ran past an exhausted budget")
         if kind == "dagger" and queries != lengths:

@@ -13,7 +13,8 @@ WORKLOADS = ("pendulum-crsail", "pusher-crsail", "pusher-ensemble")
 # "counter for ... failed" note, with that layer's metric (or the kdtree replay
 # check) silently off.
 EXPECTED_NOTES = ["not traced: crsail.conformal.rollout",
-                  "not traced: crsail.trainer.calibrate_radius"]
+                  "not traced: crsail.trainer.calibrate_radius",
+                  "not traced: MLPPolicy.forward"]
 
 
 def test_benchmark_smoke_passes():

@@ -61,14 +61,22 @@ def test_check_reports_each_moved_field():
         episode["eval_std"] += 0.25
     actual["record"]["episodes"][1]["n_queries"] += 1
     actual["csv"] += "\n"
+    n = expected["record"]["episodes"][1]["n_queries"]
+    moved = f"  moved: episodes[].n_queries ({n} -> {n + 1})"
     assert compare(expected, actual) == ["  float episodes[].eval_std: largest change 0.25",
-                                         "  moved: episodes[].n_queries", "  csv differs"]
+                                         moved, "  csv differs"]
     del actual["record"]["config"]["m_cal"]
     actual["record"]["config"]["strategy_params"]["extra"] = 1
     assert compare(expected, actual) == ["  config key removed: config.m_cal",
                                          "  config key added: config.strategy_params.extra",
                                          "  float episodes[].eval_std: largest change 0.25",
-                                         "  moved: episodes[].n_queries", "  csv differs"]
+                                         moved, "  csv differs"]
+    actual["record"]["config"]["max_queries"] = 250
+    actual["record"]["episodes"][0]["n_queries"] += 1
+    first = expected["record"]["episodes"][0]["n_queries"]
+    assert compare(expected, actual)[3:5] == [
+        "  moved: config.max_queries (None -> 250)",
+        f"  moved: episodes[].n_queries ({first} -> {first + 1}, and 1 more)"]
     del actual["record"]["episodes"][0]
     assert compare(expected, actual)[2].startswith("  record layout moved")
 

@@ -121,10 +121,24 @@ def test_unreadable_config_file_is_one_line_and_exit_2(config_path, capsys, befo
     assert captured.err == f"crsail run: {message.format(path=config_path)}\n"
 
 
+def test_config_file_is_read_as_utf8(config_path, capsys):
+    with open(config_path, "a", encoding="utf-8") as fh:
+        fh.write("\n[env]\n# r\u00e9glage\n")
+    assert ExperimentConfig.from_file(config_path).env == "pendulum"
+    with open(config_path, "ab") as fh:
+        fh.write(b"# \xff\n")
+    assert main(["run", config_path, "--print-config"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"crsail run: config file {config_path} is not UTF-8: ")
+    assert captured.err.count("\n") == 1 and "byte 0xff" in captured.err
+
+
 @pytest.mark.parametrize("override, message", [
     ("experiment.workers=two", "experiment.workers: expected an integer, got 'two'"),
     ("experiment.m_values=5.5", "experiment.m_values: expected integers, got '5.5'"),
     ("budget.max_steps=lots", "budget.max_steps: expected an integer, got 'lots'"),
+    ("budget.max_steps=", "budget.max_steps: expected an integer, got ''"),
     ("strategy.k=x", "strategy.k: expected an integer, got 'x'"),
     ("strategy.rate=high", "strategy.rate: expected a number, got 'high'"),
     ("train.batch_size=big", "train.batch_size: expected an integer, got 'big'"),
@@ -210,6 +224,8 @@ def test_episode_counts_checked_at_load(config_path, override):
     ("experiment.seeds=", "seeds must not be empty"),
     ("experiment.m_values=100,0", "m_values must be >= 1, got 0"),
     ("experiment.m_values=", "m_values must not be empty"),
+    ("experiment.seeds=3,3", "seeds lists 3 more than once"),
+    ("experiment.m_values=100,50,100", "m_values lists 100 more than once"),
     ("strategy.alpha=1.5", "alpha must lie in (0, 1), got 1.5"),
     ("strategy.alpha=0", "alpha must lie in (0, 1), got 0"),
     ("strategy.backend=bogus", "unknown backend 'bogus'"),
@@ -231,7 +247,8 @@ def test_grid_checked_at_load(config_path, override, message):
                                       "experiment.seeds=-1", "experiment.m_values=",
                                       "strategy.alpha=1.5", "strategy.backend=bogus",
                                       "strategy.tau_doubt=-1", "budget.max_steps=0",
-                                      "budget.max_queries=0",
+                                      "budget.max_queries=0", "budget.max_steps=",
+                                      "experiment.seeds=3,3",
                                       "conformal.recalibrate_every=2",
                                       "experiment.workers=0", "experiment.workers=-2",
                                       "DEFAULT.x=1", ".x=1"])
@@ -356,6 +373,9 @@ def test_cli_sweep_m_axis(config_path, tmp_path, capsys):
     ("--alpha", "0.5,high", "axis alpha: expected a number, got 'high'"),
     ("--M", "50,0", "m_values must be >= 1, got 0"),
     ("--alpha", "0.5,1.5", "alpha must lie in (0, 1), got 1.5"),
+    ("--M", "50,50", "axis m lists 50 more than once"),  # both would write m_50
+    ("--K", "3,5,3", "axis k lists 3 more than once"),
+    ("--alpha", "0.5,0.50", "axis alpha lists 0.5 more than once"),
 ])
 def test_cli_sweep_checks_every_value_before_running(config_path, capsys, axis, values,
                                                      message):
@@ -419,7 +439,7 @@ def test_resolved_text_round_trips_every_field(tmp_path):
         env="pusher", strategy="fixed-threshold", seeds=[3, 1], m_values=[40, 80],
         output_dir=str(tmp_path / "out"), workers=2, eval_episodes=7,
         env_overrides={"dt": 0.05}, m_cal=11,
-        max_steps=None, max_queries=900,
+        max_steps=700, max_queries=900,
         strategy_params={"alpha": 0.8, "k": 3, "rate": 0.25, "tau": 0.4, "tau_doubt": 0.2,
                          "ensemble_size": 4, "backend": "kdtree"},
         train_params={"learning_rate": 0.02, "batch_size": 16, "bc_epochs": 9,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from crsail.dataset import ExpertDataset, Standardizer
 from crsail.exceptions import ConfigurationError, InsufficientDataError, NumericalFailureError
-from crsail.novelty import score_batch, score_sK
+from crsail.novelty import score_batch
 from crsail.strategies import StrategyConfig
 
 
@@ -39,23 +39,23 @@ def brute_force_kth(x, points, k):
 
 def test_hand_example_k2():
     ds = dataset_1d([0.0, 1.0, 3.0])
-    assert score_sK(np.array([2.0]), ds, knn(2)) == 1.0
+    assert score_batch([[2.0]], ds, knn(2))[0] == 1.0
 
 
 def test_hand_example_k3_monotonicity():
     ds = dataset_1d([0.0, 1.0, 3.0])
-    assert score_sK(np.array([2.0]), ds, knn(3)) == 2.0
+    assert score_batch([[2.0]], ds, knn(3))[0] == 2.0
 
 
 def test_duplicate_membership_gives_zero():
     ds = dataset_1d([0.7] * 5 + [2.0, 3.0])
-    assert score_sK(np.array([0.7]), ds, knn(5)) == 0.0
+    assert score_batch([[0.7]], ds, knn(5))[0] == 0.0
 
 
 def test_insufficient_data_raises():
     ds = dataset_1d([0.0, 1.0])
     with pytest.raises(InsufficientDataError):
-        score_sK(np.array([0.5]), ds, knn(3))
+        score_batch([[0.5]], ds, knn(3))
 
 
 def test_batch_empty_and_singleton():
@@ -63,7 +63,7 @@ def test_batch_empty_and_singleton():
     cfg = knn(2)
     assert len(score_batch([], ds, cfg)) == 0
     single = score_batch(np.array([[2.0]]), ds, cfg)
-    assert single[0] == score_sK(np.array([2.0]), ds, cfg)
+    assert single.shape == (1,) and single[0] == 1.0
 
 
 def test_batch_matches_per_state_brute_force():
@@ -74,7 +74,7 @@ def test_batch_matches_per_state_brute_force():
     cfg = knn(4)
     batch = score_batch(queries, ds, cfg)
     for q, s in zip(queries, batch):
-        assert s == score_sK(q, ds, cfg)
+        assert s == score_batch([q], ds, cfg)[0]
         assert s == brute_force_kth(q, states, 4)
 
 
@@ -153,7 +153,7 @@ def test_standardized_mode_uses_frozen_standardizer():
     ds.standardizer = Standardizer(mean=np.array([0.0, 0.0]), std=np.array([1.0, 100.0]))
     cfg = knn(1)
     # second coordinate is shrunk by 100x under the standardizer
-    assert score_sK(np.array([0.0, 100.0]), ds, cfg) == 1.0
+    assert score_batch([[0.0, 100.0]], ds, cfg)[0] == 1.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -164,7 +164,7 @@ def test_monotone_in_k(data):
     points = rng.normal(size=(n, 2))
     ds = ExpertDataset(points, np.zeros((n, 1)))
     x = rng.normal(size=2)
-    scores = [score_sK(x, ds, knn(k)) for k in range(1, n + 1)]
+    scores = [score_batch([x], ds, knn(k))[0] for k in range(1, n + 1)]
     assert all(a <= b for a, b in zip(scores, scores[1:]))
 
 
@@ -177,9 +177,9 @@ def test_antitone_in_data(data):
     points = rng.normal(size=(n, 2))
     ds = ExpertDataset(points, np.zeros((n, 1)))
     x = rng.normal(size=2)
-    before = score_sK(x, ds, knn(k))
+    before = score_batch([x], ds, knn(k))[0]
     ds.append(rng.normal(size=(1, 2)), np.zeros((1, 1)))
-    after = score_sK(x, ds, knn(k))
+    after = score_batch([x], ds, knn(k))[0]
     assert after <= before
 
 
@@ -191,7 +191,7 @@ def test_permutation_invariance():
     ds2 = ExpertDataset(points[perm], np.zeros((15, 1)))
     x = rng.normal(size=3)
     cfg = knn(4)
-    assert score_sK(x, ds1, cfg) == score_sK(x, ds2, cfg)
+    assert score_batch([x], ds1, cfg)[0] == score_batch([x], ds2, cfg)[0]
 
 
 def test_translation_invariance_unstandardized():
@@ -204,7 +204,8 @@ def test_translation_invariance_unstandardized():
     ds2 = ExpertDataset(points + shift, np.zeros((10, 1)))
     # exact equality is too strict: the shift perturbs the rounding of the
     # squared differences
-    assert score_sK(x, ds1, cfg) == pytest.approx(score_sK(x + shift, ds2, cfg), rel=1e-12)
+    assert score_batch([x], ds1, cfg)[0] == pytest.approx(score_batch([x + shift], ds2, cfg)[0],
+                                                          rel=1e-12)
 
 
 def test_append_rejects_non_finite_labels_naming_label_and_row():

@@ -3,11 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from crsail.core import Trajectory
+from crsail.core import Trajectory, rollout
 from crsail.dataset import ExpertDataset
+from crsail.envs import make_env, make_expert
 from crsail.exceptions import ConfigurationError
-from crsail.policy import MLPPolicy
+from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning
 from crsail.strategies import READS, QuerySet, StrategyConfig, label_queries, select_queries
+from crsail.trainer import build_initial_dataset
+from helpers import same_bits
 
 
 def make_trajectory(states_1d):
@@ -129,6 +132,24 @@ def test_ensemble_variance_queries_where_members_disagree():
     cfg = StrategyConfig("ensemble-variance", tau_doubt=0.1)
     qs = select_queries(cfg, traj, dataset_1d([0.0]), ensemble=[agree, disagree])
     assert np.array_equal(qs.indices, [0, 1])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ensemble_variance_scores_are_row_exact(seed):
+    # each state's doubt has the bits of that state scored alone, as a row of
+    # a rollout gets the bits of its one-row step
+    env = make_env("pusher")
+    dataset = build_initial_dataset(env, make_expert(env), 200, seed)
+    ensemble = behavioral_cloning(dataset, TrainConfig(bc_epochs=5), np.random.default_rng(seed),
+                                  members=3)
+    traj = rollout(env, ensemble[0], seed)
+    cfg = StrategyConfig("ensemble-variance")
+    scores = select_queries(cfg, traj, dataset, ensemble=ensemble).scores
+    assert scores.shape == (traj.length,)
+    for i in range(traj.length):
+        alone = Trajectory(traj.states[i:i + 2], traj.actions[i:i + 1], traj.rewards[i:i + 1])
+        assert same_bits(scores[i:i + 1], select_queries(cfg, alone, dataset,
+                                                         ensemble=ensemble).scores), i
 
 
 def test_ensemble_variance_requires_ensemble():

@@ -46,13 +46,16 @@ def small_run(strategy, budget=None, seed=0, env_kind="pendulum", **kwargs):
 
 
 def test_budget_validation_and_exhaustion():
-    with pytest.raises(ConfigurationError):
-        Budget()
+    with pytest.raises(TypeError):  # the step cap is required
+        Budget(max_queries=10)
+    with pytest.raises(ConfigurationError, match="^max_steps must be set"):
+        Budget(max_steps=None, max_queries=10)
     b = Budget(max_queries=10, max_steps=100)
-    assert not b.exhausted(9, 99, 0)
-    assert b.exhausted(10, 0, 0)
-    assert b.exhausted(0, 100, 0)
-    assert Budget(max_queries=5).exhausted(5, 10**9, 0) is True
+    assert not b.exhausted(9, 99)
+    assert b.exhausted(10, 0)
+    assert b.exhausted(0, 100)
+    assert Budget(max_steps=100).exhausted(10**9, 99) is False  # no query cap
+    assert Budget(max_steps=100).exhausted(0, 100) is True
 
 
 @pytest.mark.parametrize("caps, message", [
@@ -64,31 +67,23 @@ def test_budget_caps_must_be_at_least_one(caps, message):
     with pytest.raises(ConfigurationError) as err:
         Budget(**caps)
     assert str(err.value) == message
-    assert not Budget(max_queries=1, max_steps=1).exhausted(0, 0, 0)
+    assert not Budget(max_queries=1, max_steps=1).exhausted(0, 0)
 
 
-def test_queries_only_budget_ends_after_max_queries_episodes():
-    b = Budget(max_queries=3)
-    assert not b.exhausted(0, 10**9, 2)
-    assert b.exhausted(0, 0, 3)
-    # with a step cap the episode count does not matter
-    assert not Budget(max_queries=3, max_steps=100).exhausted(0, 99, 10**6)
-
-
-def test_queries_only_run_that_never_queries_still_ends():
+def test_run_that_never_queries_ends_on_its_step_cap():
     def timed_out(signum, frame):
-        raise TimeoutError("train did not stop on a queries-only budget")
+        raise TimeoutError("train did not stop on its step cap")
 
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(60)
     try:  # tau = 1e9: no state is ever novel enough to query
         _, record = small_run(StrategyConfig("fixed-threshold", tau=1e9),
-                              budget=Budget(max_queries=3), eval_episodes=2)
+                              budget=Budget(max_steps=600, max_queries=3), eval_episodes=2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert record.summary["episodes"] == 3
     assert record.summary["total_queries"] == 0
+    assert record.episodes[-2].steps_cum < 600 <= record.episodes[-1].steps_cum
 
 
 def test_is_expert_level_hand_cases():
@@ -185,7 +180,8 @@ def test_dagger_queries_equal_steps():
 
 
 def test_budget_entry_check_allows_final_overshoot():
-    _, record = small_run(StrategyConfig("dagger"), budget=Budget(max_queries=150))
+    _, record = small_run(StrategyConfig("dagger"), budget=Budget(max_steps=10**6,
+                                                                  max_queries=150))
     totals = [e.queries_cum for e in record.episodes]
     # every episode before the last started under budget; the last may overshoot
     assert all(t < 150 for t in totals[:-1])
@@ -382,8 +378,8 @@ def test_failure_in_an_evaluation_block_notes_whose_row_failed(seed, episode, no
 
 @pytest.mark.parametrize("strategy, budget", [
     (StrategyConfig("dagger"), Budget(max_steps=450)),
-    (StrategyConfig("dagger"), Budget(max_queries=450)),  # ends on the query count
-    (StrategyConfig("fixed-threshold", tau=1e9), Budget(max_queries=3)),  # on the episode count
+    (StrategyConfig("dagger"), Budget(max_steps=10**6, max_queries=450)),  # on the query cap
+    (StrategyConfig("fixed-threshold", tau=1e9), Budget(max_steps=450, max_queries=3)),  # no query
 ])
 def test_each_training_episode_is_rolled_out_once_with_its_own_bits(monkeypatch, strategy,
                                                                    budget):
