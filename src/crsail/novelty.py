@@ -6,7 +6,8 @@ dataset carries a standardizer, as the policy's inputs are. Duplicates count
 with multiplicity. K and the backend are the `k` and `backend` fields of the
 query rule's `StrategyConfig`, which checks them. Two backends: exact brute
 force (default) and a KD-tree, which agree to the bit for up to 7 dimensions
-and to rounding beyond.
+and to rounding beyond. The KD-tree is scipy's, imported on its first use, so
+a process that never asks for it never loads scipy.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from crsail.dataset import ExpertDataset
-from crsail.exceptions import InsufficientDataError
+from crsail.exceptions import ConfigurationError, InsufficientDataError
 
 if TYPE_CHECKING:
     from crsail.strategies import StrategyConfig
@@ -28,8 +28,10 @@ _BATCH = 32  # query rows per brute-force block; two (_BATCH, N) buffers stay in
 def score_batch(states, dataset: ExpertDataset, config: StrategyConfig) -> np.ndarray:
     """Distance from each state to its K-th nearest neighbor in the dataset.
 
-    An empty batch gives an empty result. The dataset's points are projected
-    afresh on every call, so the scores always reflect its current contents.
+    `states` is one state per row, each as wide as the dataset's states (a
+    flat array is one state). An empty batch gives an empty result. The
+    dataset's points are projected afresh on every call, so the scores always
+    reflect its current contents.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.size == 0:
@@ -39,10 +41,15 @@ def score_batch(states, dataset: ExpertDataset, config: StrategyConfig) -> np.nd
         raise InsufficientDataError(f"K={k} exceeds dataset size {len(dataset)}")
     points = np.asarray(dataset.states, dtype=np.float64)
     q = np.atleast_2d(states)
+    if q.ndim != 2 or q.shape[1] != points.shape[1]:
+        raise ConfigurationError(f"states have width {q.shape[-1]} (shape {states.shape}), but "
+                                 f"the dataset's states have width {points.shape[1]}")
     if dataset.standardizer is not None:
         points = dataset.standardizer.transform(points)
         q = dataset.standardizer.transform(q)
     if config.backend == "kdtree":
+        from scipy.spatial import cKDTree
+
         return cKDTree(points).query(q, k=[k])[0][:, 0]
     # Add up the squared differences one dimension at a time, left to right:
     # the order numpy's sum takes over a last axis shorter than 8, so these

@@ -119,7 +119,10 @@ def _backprop(params, z, labels, grads, work):
     err -= labels
     np.multiply(err, 2.0, out=d_out)
     d_out /= m
-    np.matmul(d_out, w2, out=d_pre)
+    if w2.shape[-2] == 1:  # one action dim: d_out @ w2 is an outer product
+        np.multiply(d_out, w2, out=d_pre)
+    else:
+        np.matmul(d_out, w2, out=d_pre)
     np.square(hidden, out=slope)
     np.subtract(1.0, slope, out=slope)
     d_pre *= slope

@@ -7,6 +7,7 @@ they stay within the admissible (non-anticipating, episode-level) class.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class StrategyConfig:
     tau: float = 0.1  # fixed-threshold novelty cutoff
     tau_doubt: float = 0.01
     ensemble_size: int = 5
-    backend: str = "brute"  # K-NN backend: "brute" or "kdtree", bit-equal
+    backend: str = "brute"  # K-NN backend: "brute" or "kdtree" (needs scipy), bit-equal
 
     def __post_init__(self):
         if self.kind not in READS:
@@ -69,6 +70,10 @@ class StrategyConfig:
             raise ConfigurationError("ensemble_size must be >= 2")
         if self.backend not in ("brute", "kdtree"):
             raise ConfigurationError(f"unknown backend {self.backend!r}")
+        # Looked up, not imported: scipy loads only when the KD-tree is first used.
+        if self.backend == "kdtree" and importlib.util.find_spec("scipy") is None:
+            raise ConfigurationError("backend 'kdtree' needs scipy, which is not installed "
+                                     "(pip install crsail[kdtree]); use backend 'brute'")
 
 
 def select_queries(strategy: StrategyConfig, trajectory: Trajectory, dataset: ExpertDataset,

@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import json
 import os
+import sys
 
 import pytest
 
@@ -259,6 +260,16 @@ def test_cli_config_error_is_one_line_and_exit_2(config_path, capsys, command, o
     assert captured.out == ""
     assert captured.err.startswith(f"crsail {command[0]}: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_cli_kdtree_without_scipy_is_one_line_and_exit_2(config_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)  # as if scipy were not installed
+    assert main(["run", config_path, "--set", "strategy.backend=kdtree"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("crsail run: backend 'kdtree' needs scipy")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not os.path.exists(ExperimentConfig.from_file(config_path).output_dir)
 
 
 def test_invalid_strategy_fails_fast(config_path):

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +63,20 @@ def test_insufficient_data_raises():
         score_batch([[0.5]], ds, knn(3))
 
 
+@pytest.mark.parametrize("backend", ["brute", "kdtree"])
+def test_states_of_another_width_rejected(backend):
+    # Without the check the scan read the first column of a 2-wide state, and
+    # took a flat pair of 1-d states for one state.
+    ds = dataset_1d([0.0, 1.0, 3.0])
+    for states in ([[2.0, 100.0]], np.array([2.0, 3.0]), np.zeros((2, 1, 1))):
+        with pytest.raises(ConfigurationError) as err:
+            score_batch(states, ds, knn(1, backend))
+        width = np.shape(states)[-1]
+        assert str(err.value) == (f"states have width {width} (shape {np.shape(states)}), "
+                                  "but the dataset's states have width 1")
+    assert score_batch(np.array([2.0]), ds, knn(1, backend))[0] == 1.0  # one flat state
+
+
 def test_batch_empty_and_singleton():
     ds = dataset_1d([0.0, 1.0, 3.0])
     cfg = knn(2)
@@ -90,6 +109,40 @@ def test_backend_equivalence_exact():
             brute = score_batch(queries, ds, knn(k, "brute"))
             tree = score_batch(queries, ds, knn(k, "kdtree"))
             assert np.array_equal(brute, tree)
+
+
+def test_only_the_kdtree_backend_loads_scipy():
+    # A fresh interpreter, so no other test's import of scipy counts.
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from crsail import ExpertDataset, Standardizer, StrategyConfig, score_batch
+        from crsail.harness import ExperimentConfig, run_single
+
+        for strategy, params in (("crsail", {}), ("dagger", {}),
+                                 ("ensemble-variance", {"ensemble_size": 2})):
+            config = ExperimentConfig(
+                env="pendulum", strategy=strategy, seeds=[0], m_values=[100],
+                eval_episodes=1, m_cal=2, max_steps=1, strategy_params=params,
+                train_params={"bc_epochs": 2, "update_epochs": 1})
+            assert len(run_single(config, 100, 0).episodes) == 1
+        tree = StrategyConfig("crsail", backend="kdtree")  # checked, not loaded
+        assert "scipy" not in sys.modules, "scipy loaded without the kdtree backend"
+
+        rng = np.random.default_rng(5)
+        for d in (1, 3, 6, 7):
+            points = rng.normal(size=(400, d)) * rng.uniform(0.1, 10.0, size=d)
+            ds = ExpertDataset(points, np.zeros((400, 1)), Standardizer.fit(points))
+            queries = rng.normal(size=(90, d)) * 3.0
+            brute = score_batch(queries, ds, StrategyConfig("crsail"))
+            assert score_batch(queries, ds, tree).tobytes() == brute.tobytes(), d
+        assert "scipy.spatial" in sys.modules
+        print("ok")
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("d", [8, 12])

@@ -180,6 +180,23 @@ def test_sgd_loop_equals_the_reference_loop(members, n, batch_size):
     assert not same_bits(params[0], initial)  # the loop updated the caller's arrays
 
 
+@pytest.mark.parametrize("members", [None, 3])
+def test_one_wide_action_gradient_equals_the_reference(members):
+    # With one action dim (pendulum), `_backprop` forms d_out @ w2 as a
+    # broadcast product; it must keep the matmul's bits.
+    rng = np.random.default_rng(9)
+    lead = () if members is None else (members,)
+    params = [0.5 * rng.standard_normal(lead + shape)
+              for shape in ((HIDDEN, 3), (HIDDEN,), (1, HIDDEN), (1,))]
+    z, labels = rng.standard_normal(lead + (50, 3)), rng.standard_normal(lead + (50, 1))
+    for got, want in zip(_gradient(params, z, labels), _reference_gradient(params, z, labels)):
+        assert same_bits(got, want)
+    policy = random_policy(rng, d=2, a=1, hidden=5)
+    states, targets = rng.standard_normal((4, 2)), rng.standard_normal((4, 1))
+    assert_grads_close(loss_and_grad(policy, states, targets)[1],
+                       numerical_grad(policy, states, targets))
+
+
 def test_dimension_mismatch_rejected():
     policy = MLPPolicy(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.zeros(2))
     with pytest.raises(ConfigurationError):

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +174,16 @@ def test_backend_and_tau_doubt_checked_for_every_kind():
         with pytest.raises(ConfigurationError, match="tau_doubt must be >= 0"):
             StrategyConfig(kind, tau_doubt=-1.0)
     assert StrategyConfig("dagger", backend="kdtree").backend == "kdtree"
+
+
+def test_kdtree_without_scipy_rejected_at_construction(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)  # as if scipy were not installed
+    for kind in READS:
+        with pytest.raises(ConfigurationError) as err:
+            StrategyConfig(kind, backend="kdtree")
+        assert str(err.value).startswith("backend 'kdtree' needs scipy")
+        assert "\n" not in str(err.value)
+        assert StrategyConfig(kind).backend == "brute"
 
 
 def test_reads_names_strategy_fields_of_every_kind():
