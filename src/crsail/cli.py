@@ -6,21 +6,21 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from crsail.exceptions import ConfigurationError
+from crsail.exceptions import ConfigurationError, check_value
 from crsail.harness import (
     ExperimentConfig,
-    check_distinct,
+    _convert,
+    check_axis,
     emit_plot_data,
     format_summary_text,
     load_records,
-    parse_value,
     run,
     summarize,
     write_summary_csv,
 )
-from crsail.strategies import READS
+from crsail.strategies import READS, StrategyConfig
 
 OUTPUT_ROOT_ENV = "CRSAIL_OUTPUT_ROOT"
 
@@ -55,11 +55,15 @@ def _cmd_sweep(args) -> int:
     name, raw = chosen[0]
     if name != "m" and name not in READS[config.strategy]:
         raise ConfigurationError(f"axis {name}: strategy {config.strategy} does not read {name}")
-    kind = "float" if name == "alpha" else "int"
+    # the field the axis sets: a strategy field, or m_values with one M in it
+    owner, target = (ExperimentConfig, "m_values") if name == "m" else (StrategyConfig, name)
+    kind = next(f.type for f in fields(owner) if f.name == target)
     base_outdir = config.output_dir
     given = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    values = [parse_value(f"axis {name}", kind, val) for val in given]
-    check_distinct(f"axis {name}", values)
+    values = [_convert(val) for val in given]
+    for value in values:  # its type here; its bound when its config is built below
+        check_value(f"axis {name}", kind, [value] if name == "m" else value)
+    check_axis(f"axis {name}", values)
     points = []  # (value as given, its config); every point is checked before any runs
     for val, value in zip(given, values):
         change = {"m_values": [value]} if name == "m" else \

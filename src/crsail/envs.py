@@ -13,12 +13,11 @@ call on that row alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from crsail.exceptions import ConfigurationError, require_finite
+from crsail.exceptions import ConfigurationError, FieldError, bounded, check_fields
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -34,18 +33,15 @@ def _cap_norm(v: np.ndarray, cap: float) -> np.ndarray:
 
 @dataclass(kw_only=True)
 class EnvParams:
-    """What every environment's params hold: Euler step, horizon, fixed start."""
+    """What every environment's params hold: Euler step, horizon, fixed start;
+    a subclass that gives `dt` or `t_max` a default repeats its bound."""
 
-    dt: float
-    t_max: int
-    fixed_init: np.ndarray | None = None
+    dt: float = bounded(gt=0)
+    t_max: int = bounded(ge=1)
+    fixed_init: np.ndarray | None = None  # checked by the env, which knows its state_dim
 
     def __post_init__(self):
-        require_finite(self)
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        if self.t_max < 1:
-            raise ConfigurationError("t_max must be >= 1")
+        check_fields(self)
 
 
 class Env:
@@ -65,8 +61,8 @@ class Env:
             except (TypeError, ValueError):
                 init = None
             if init is None or init.shape != (self.state_dim,) or not np.isfinite(init).all():
-                raise ConfigurationError(
-                    f"fixed_init: expected {self.state_dim} finite numbers, got {given!r}")
+                raise FieldError("fixed_init", f": expected {self.state_dim} finite numbers, "
+                                 f"got {given!r}", type(self.params))
 
     @property
     def t_max(self) -> int:
@@ -82,28 +78,19 @@ class Env:
 
 @dataclass(kw_only=True)
 class PendulumParams(EnvParams):
-    dt: float = 0.05
-    t_max: int = 200
+    dt: float = bounded(default=0.05, gt=0)
+    t_max: int = bounded(default=200, ge=1)
     g: float = 9.81
-    length: float = 1.0
-    mass: float = 1.0
+    length: float = bounded(default=1.0, gt=0)
+    mass: float = bounded(default=1.0, gt=0)
     damping: float = 0.1
     # 5.0 N*m rather than 3.0: at 3.0 the gravity torque outruns the actuator
     # before worst-case initial velocity can be dumped, so no gains can meet
     # the 99% expert success certification.
-    u_max: float = 5.0
-    theta_fail: float = math.pi / 2
+    u_max: float = bounded(default=5.0, gt=0)
+    theta_fail: float = bounded(default=math.pi / 2, gt=0, le=math.pi)
     theta_init: float = 0.3
     theta_dot_init: float = 0.5
-
-    def __post_init__(self):
-        if self.dt <= 0 or self.u_max <= 0:
-            raise ConfigurationError("dt and u_max must be positive")
-        if self.length <= 0 or self.mass <= 0:
-            raise ConfigurationError("length and mass must be positive")
-        if not 0 < self.theta_fail <= math.pi:
-            raise ConfigurationError("theta_fail must lie in (0, pi]")
-        super().__post_init__()
 
 
 class PendulumExpert:
@@ -152,23 +139,14 @@ class Pendulum(Env):
 
 @dataclass(kw_only=True)
 class PusherParams(EnvParams):
-    dt: float = 0.1
-    t_max: int = 100
-    speed_cap: float = 1.0
-    contact_radius: float = 0.15
-    push_gain: float = 0.8
+    dt: float = bounded(default=0.1, gt=0)
+    t_max: int = bounded(default=100, ge=1)
+    speed_cap: float = bounded(default=1.0, gt=0)
+    contact_radius: float = bounded(default=0.15, gt=0)
+    push_gain: float = bounded(default=0.8, gt=0, le=1)
     goal_range: float = 1.0
     object_range: float = 0.6
     agent_range: float = 1.0
-
-    def __post_init__(self):
-        if self.speed_cap <= 0:
-            raise ConfigurationError("speed_cap must be positive")
-        if self.contact_radius <= 0:
-            raise ConfigurationError("contact_radius must be positive")
-        if not 0 < self.push_gain <= 1:
-            raise ConfigurationError("push_gain must lie in (0, 1]")
-        super().__post_init__()
 
 
 class PusherExpert:
@@ -246,16 +224,11 @@ class Pusher(Env):
 
 @dataclass(kw_only=True)
 class DoubleIntegratorParams(EnvParams):
-    dt: float = 0.1
-    t_max: int = 150
-    accel_cap: float = 1.0
+    dt: float = bounded(default=0.1, gt=0)
+    t_max: int = bounded(default=150, ge=1)
+    accel_cap: float = bounded(default=1.0, gt=0)
     pos_range: float = 1.0
     vel_range: float = 0.3
-
-    def __post_init__(self):
-        if self.accel_cap <= 0:
-            raise ConfigurationError("accel_cap must be positive")
-        super().__post_init__()
 
 
 def _discrete_lqr_gain(a, b, q, r, iters: int = 500, tol: float = 1e-12) -> np.ndarray:
@@ -316,22 +289,17 @@ class DoubleIntegrator(Env):
         return np.concatenate([pos_next, vel_next], axis=-1), reward, False
 
 
-# numeric params field type -> (the values it takes, what an error says they must be)
-_NUMBERS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
-_KINDS = {"pendulum": Pendulum, "pusher": Pusher, "double_integrator": DoubleIntegrator}
+KINDS = {"pendulum": Pendulum, "pusher": Pusher, "double_integrator": DoubleIntegrator}
 
 
 def make_env(kind: str, **param_overrides) -> Env:
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise ConfigurationError(f"unknown environment kind: {kind!r}")
-    env_cls = _KINDS[kind]
-    types = {f.name: f.type for f in fields(env_cls.Params)}
-    for name, value in param_overrides.items():
-        if name not in types:
+    env_cls = KINDS[kind]
+    names = {f.name for f in fields(env_cls.Params)}
+    for name in param_overrides:
+        if name not in names:
             raise ConfigurationError(f"unknown {kind} parameter {name!r}")
-        number, expected = _NUMBERS.get(types[name], (object, ""))
-        if expected and (isinstance(value, bool) or not isinstance(value, number)):
-            raise ConfigurationError(f"{kind} parameter {name}: expected {expected}, got {value!r}")
     return env_cls(env_cls.Params(**param_overrides))
 
 

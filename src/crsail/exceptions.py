@@ -1,11 +1,22 @@
-"""Exception types shared across the package, and the finiteness check of configs."""
+"""Exception types shared across the package, and the one check of config fields."""
 
 import math
-from dataclasses import fields
+import numbers
+import operator
+from dataclasses import field, fields
 
 
 class ConfigurationError(ValueError):
     """Invalid configuration: bad dimensions, empty dataset, bad parameters."""
+
+
+class FieldError(ConfigurationError):
+    """A value breaks its config field's type, finiteness or bound; the message is
+    `name` then `problem`, and `owner` is the config class the field is in."""
+
+    def __init__(self, name: str, problem: str, owner=None):
+        super().__init__(f"{name}{problem}")
+        self.name, self.problem, self.owner = name, problem, owner
 
 
 class NumericalFailureError(RuntimeError):
@@ -33,13 +44,54 @@ class InvariantError(RuntimeError):
     """Internal bookkeeping disagrees with itself; this is a bug, not bad input."""
 
 
-def require_finite(config) -> None:
-    """Reject a NaN or infinite value in any float field of the dataclass `config`.
+# bound keyword -> (the test a value must pass, its sign in a message)
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
+           "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
 
-    A NaN passes every range check (each comparison with it is false), so it
-    is caught here, before those checks run.
-    """
+
+def bounded(*, metadata=None, **kwargs):
+    """A dataclass field whose values (a list's items) must meet the bound given as
+    keywords `gt`, `ge`, `lt`, `le`; the other keywords go to `dataclasses.field`."""
+    bound = {op: kwargs.pop(op) for op in _BOUNDS if op in kwargs}
+    return field(metadata={**(metadata or {}), "bound": bound}, **kwargs)
+
+
+# field type -> (whether a value has it, what an error says a value must be)
+FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(FIELD_TYPES["int"][0], v)),
+                  "integers"),
+}
+
+
+def _bound_text(bound: dict) -> str:
+    if len(bound) == 1:
+        (op, limit), = bound.items()
+        return f"be {_BOUNDS[op][1]} {limit}"
+    low, high = bound.get("gt", bound.get("ge")), bound.get("lt", bound.get("le"))
+    return f"lie in {'(' if 'gt' in bound else '['}{low}, {high}{')' if 'lt' in bound else ']'}"
+
+
+def check_value(name: str, kind: str, value, bound=None, owner=None) -> None:
+    """Check `value` against field type `kind` (a `| None` type also takes None, numpy
+    numbers count, a type not in FIELD_TYPES is not checked), then a float's finiteness
+    (a NaN passes every comparison), then `bound`; raise a FieldError naming `name`."""
+    plain = kind.removesuffix(" | None")
+    if plain not in FIELD_TYPES or (value is None and plain != kind):
+        return
+    accepts, expected = FIELD_TYPES[plain]
+    if not accepts(value):
+        raise FieldError(name, f": expected {expected}, got {value!r}", owner)
+    for item in value if plain == "list[int]" else [value]:
+        if plain == "float" and not math.isfinite(item):
+            raise FieldError(name, f" must be finite, got {item!r}", owner)
+        if bound and not all(_BOUNDS[op][0](item, limit) for op, limit in bound.items()):
+            raise FieldError(name, f" must {_bound_text(bound)}, got {item!r}", owner)
+
+
+def check_fields(config) -> None:
+    """`check_value` on each field of the dataclass `config`, by its declared type and bound."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type in ("float", float) and not math.isfinite(value):
-            raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
+        check_value(f.name, f.type, getattr(config, f.name), f.metadata.get("bound"), type(config))

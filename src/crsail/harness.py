@@ -3,8 +3,8 @@
 Config files are flat INI-style key=value text with one section per module.
 The sections, keys and defaults are the dataclass fields: `ExperimentConfig`
 for [experiment], [conformal] and [budget]; `StrategyConfig` (all but `kind`)
-for [strategy]; `TrainConfig` for [train]; [env] is passed to the environment.
-Each value is parsed by the type of its field.
+for [strategy]; `TrainConfig` for [train]; the env kind's params for [env].
+Each value is read by its field's type and judged by the field's own check.
 Every run embeds its fully resolved config snapshot, so any output is
 reproducible from its own header.
 """
@@ -12,19 +12,20 @@ reproducible from its own header.
 from __future__ import annotations
 
 import configparser
+import json
 import math
 import os
 import traceback
 import warnings
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from crsail.conformal import calibrate_radius
 from crsail.core import evaluate_policy
-from crsail.envs import make_env, make_expert
-from crsail.exceptions import ConfigurationError
+from crsail.envs import KINDS, EnvParams, make_env, make_expert
+from crsail.exceptions import ConfigurationError, FieldError, bounded, check_fields
 from crsail.policy import TrainConfig, behavioral_cloning
 from crsail.strategies import StrategyConfig
 from crsail.trainer import Budget, RunRecord, build_initial_dataset, train, write_csv
@@ -45,36 +46,30 @@ def _convert(text: str):
     return text
 
 
-# field type -> (the types its values may take, what an error says a value must be)
-_TYPES = {"list[int]": ((int,), "integers"), "int": ((int,), "an integer"),
-          "float": ((int, float), "a number"), "bool": ((bool,), "true or false")}
-
-
-def parse_value(key: str, kind: str, text: str):
-    """The value of `key` (a config key section.key, or a sweep axis) by its field's type,
-    read as `_convert` reads it, so an integer literal in a float field stays an int."""
+def parse_value(kind: str, text: str):
+    """A config key's `text` read by its field's type `kind`: a list or array is
+    comma-separated, and a number is read as `_convert` reads it, so an integer
+    literal in a float field stays an int; the field's own check judges it."""
     text = text.strip()
     if kind == "str":
         return text
-    if kind == "int | None" and text == "":
+    if kind.endswith(" | None") and text == "":
         return None
-    listed = kind == "list[int]"
-    values = [_convert(tok) for tok in text.split(",") if tok.strip() != ""] if listed \
-        else [_convert(text)]
-    allowed, expected = _TYPES[kind.removesuffix(" | None")]
-    if not all(type(v) in allowed for v in values):
-        raise ConfigurationError(f"{key}: expected {expected}, got {text!r}")
-    return values if listed else values[0]
+    if kind.startswith(("list[", "np.ndarray")):
+        return [_convert(tok) for tok in text.split(",") if tok.strip() != ""]
+    return _convert(text)
 
 
 def _format(value) -> str:
-    if isinstance(value, list):
+    if isinstance(value, (list, np.ndarray)):
         return ",".join(map(str, value))
     return "" if value is None else str(value)
 
 
-def check_distinct(name: str, values) -> None:
-    """Reject a repeated grid point: its runs would write the same record files."""
+def check_axis(name: str, values) -> None:
+    """Reject an empty grid axis, or a repeated point: its runs would share record files."""
+    if not values:
+        raise ConfigurationError(f"{name} must not be empty")
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise ConfigurationError(f"{name} lists {repeated[0]} more than once")
@@ -88,9 +83,9 @@ def _values(obj) -> dict:
     return {name: getattr(obj, name) for name in _keys(type(obj))}
 
 
-def _section(name: str, typed=None, **kwargs):
-    """A field held in section `name`; a dict field's values take `typed`'s field types."""
-    return field(metadata={"section": name, "typed": typed}, **kwargs)
+def _section(name: str, typed, **kwargs):
+    """A field of section `name`; `typed`, if set, is the config class that checks its values."""
+    return bounded(metadata={"section": name, "typed": typed}, **kwargs)
 
 
 @dataclass
@@ -101,34 +96,26 @@ class ExperimentConfig:
 
     env: str = ""
     strategy: str = ""
-    seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
-    m_values: list[int] = field(default_factory=lambda: [250, 500, 1000, 2000])
+    seeds: list[int] = bounded(default_factory=lambda: [0, 1, 2, 3, 4], ge=0)
+    m_values: list[int] = bounded(default_factory=lambda: [250, 500, 1000, 2000], ge=1)
     output_dir: str = "runs"
-    workers: int = 1
-    eval_episodes: int = 20
-    env_overrides: dict = _section("env", default_factory=dict)
+    workers: int = bounded(default=1, ge=1)
+    eval_episodes: int = bounded(default=20, ge=1)
+    env_overrides: dict = _section("env", EnvParams, default_factory=dict)
     strategy_params: dict = _section("strategy", StrategyConfig, default_factory=dict)
     train_params: dict = _section("train", TrainConfig, default_factory=dict)
-    m_cal: int = _section("conformal", default=30)
-    max_steps: int = _section("budget", default=10000)
-    max_queries: int | None = _section("budget", default=None)
+    m_cal: int = _section("conformal", None, default=30, ge=1)
+    max_steps: int = _section("budget", Budget, default=10000)
+    max_queries: int | None = _section("budget", Budget, default=None)
 
     def __post_init__(self):
         if not self.env:
             raise ConfigurationError("config must set experiment.env")
         if not self.strategy:
             raise ConfigurationError("config must set experiment.strategy")
-        # episode counts of every run, the process count
-        for name, low in (("eval_episodes", 1), ("m_cal", 1), ("workers", 1)):
-            if getattr(self, name) < low:
-                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name, low in (("seeds", 0), ("m_values", 1)):  # the grid's axes
-            values = getattr(self, name)
-            if not values:
-                raise ConfigurationError(f"{name} must not be empty")
-            if min(values) < low:
-                raise ConfigurationError(f"{name} must be >= {low}, got {min(values)}")
-            check_distinct(name, values)
+        check_fields(self)
+        for name in ("seeds", "m_values"):  # the grid's axes
+            check_axis(name, getattr(self, name))
         unknown = [f"strategy.{key}" for key in self.strategy_params
                    if key not in _keys(StrategyConfig)]
         unknown += [f"train.{key}" for key in self.train_params if key not in _keys(TrainConfig)]
@@ -146,26 +133,31 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown config section [{parser.default_section}]")
         kwargs: dict = {}
         layout = cls._layout()
+        env = parser.get("experiment", "env", fallback="").strip()  # [env] holds its params
         for section in parser.sections():
             if section not in layout:
                 raise ConfigurationError(f"unknown config section [{section}]")
             holder = layout[section][0]
             if holder.type == "dict":  # the field holds the whole section
                 typed = holder.metadata["typed"]
-                types = {f.name: f.type for f in fields(typed)} if typed else {}
+                typed = KINDS[env].Params if typed is EnvParams and env in KINDS else typed
+                types = {f.name: f.type for f in fields(typed)}
                 values = kwargs.setdefault(holder.name, {})
             else:
                 types, values = {f.name: f.type for f in layout[section]}, kwargs
             for key, val in parser.items(section):
                 if holder.type == "dict" and val.strip() == "":
                     continue  # an empty value keeps the default
-                if key in types:
-                    values[key] = parse_value(f"{section}.{key}", types[key], val)
-                elif holder.type == "dict":  # an [env] key, or one __post_init__ rejects
-                    values[key] = _convert(val)
-                else:
+                if key not in types and holder.type != "dict":  # __post_init__ rejects the rest
                     raise ConfigurationError(f"unknown config key {section}.{key}")
-        return cls(**kwargs)
+                values[key] = parse_value(types.get(key, ""), val)
+        try:
+            return cls(**kwargs)
+        except FieldError as exc:  # name the key section.key, by the field that holds it
+            held = next(f for f in fields(cls) if (f.name == exc.name if exc.owner is cls
+                        else issubclass(exc.owner, f.metadata.get("typed") or ())))
+            section = held.metadata.get("section", "experiment")
+            raise FieldError(f"{section}.{exc.name}", exc.problem, exc.owner) from None
 
     @classmethod
     def _layout(cls) -> dict[str, list]:
@@ -218,7 +210,9 @@ class ExperimentConfig:
     def snapshot(self, m: int, seed: int) -> dict:
         """The per-run part of the config, as embedded in its run record."""
         snap = {k: v for k, v in asdict(self).items() if k not in GRID_ONLY}
-        return {**snap, "alpha": self.strategy_params["alpha"], "m": m, "seed": seed}
+        snap = {**snap, "alpha": self.strategy_params["alpha"], "m": m, "seed": seed}
+        # as the record will hold it: a numpy number or array given becomes a Python one
+        return json.loads(json.dumps(snap, default=lambda value: value.tolist()))
 
 
 def run_basename(strategy: str, m: int, seed: int) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from crsail.dataset import ExpertDataset, Standardizer
-from crsail.exceptions import ConfigurationError, require_finite
+from crsail.exceptions import ConfigurationError, bounded, check_fields
 
 HIDDEN = 64  # hidden-layer width
 PARAMS = ("w1", "b1", "w2", "b2")
@@ -20,21 +20,15 @@ PARAMS = ("w1", "b1", "w2", "b2")
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-2
-    batch_size: int = 64
-    bc_epochs: int = 50
-    update_epochs: int = 10
+    learning_rate: float = bounded(default=1e-2, gt=0)
+    batch_size: int = bounded(default=64, ge=1)
+    bc_epochs: int = bounded(default=50, ge=1)
+    update_epochs: int = bounded(default=10, ge=1)
     init_scale: float = 0.1
     retrain_from_scratch: bool = False
 
     def __post_init__(self):
-        require_finite(self)
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.bc_epochs < 1 or self.update_epochs < 1:
-            raise ConfigurationError("epoch counts must be >= 1")
+        check_fields(self)
 
 
 class MLPPolicy:

@@ -14,7 +14,7 @@ import numpy as np
 
 from crsail.dataset import ExpertDataset
 from crsail.core import Trajectory, act
-from crsail.exceptions import ConfigurationError, require_finite
+from crsail.exceptions import ConfigurationError, bounded, check_fields
 from crsail.novelty import score_batch
 
 # The StrategyConfig fields each kind's query rule reads, besides its kind.
@@ -44,30 +44,18 @@ class QuerySet:
 @dataclass
 class StrategyConfig:
     kind: str
-    alpha: float = 0.93  # nominal query rate; crsail calibrates its radius at it
-    k: int = 5
-    rate: float = 0.5  # random-rate inclusion probability
-    tau: float = 0.1  # fixed-threshold novelty cutoff
-    tau_doubt: float = 0.01
-    ensemble_size: int = 5
+    alpha: float = bounded(default=0.93, gt=0, lt=1)  # the nominal query rate crsail calibrates at
+    k: int = bounded(default=5, ge=1)
+    rate: float = bounded(default=0.5, ge=0, le=1)  # random-rate inclusion probability
+    tau: float = bounded(default=0.1, ge=0)  # fixed-threshold novelty cutoff
+    tau_doubt: float = bounded(default=0.01, ge=0)
+    ensemble_size: int = bounded(default=5, ge=2)
     backend: str = "brute"  # K-NN backend: "brute" or "kdtree" (needs scipy), bit-equal
 
     def __post_init__(self):
         if self.kind not in READS:
             raise ConfigurationError(f"unknown strategy kind {self.kind!r}")
-        require_finite(self)
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if self.k < 1:
-            raise ConfigurationError("k must be >= 1")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigurationError("rate must lie in [0, 1]")
-        if self.tau < 0.0:
-            raise ConfigurationError("tau must be >= 0")
-        if self.tau_doubt < 0.0:
-            raise ConfigurationError("tau_doubt must be >= 0")
-        if self.ensemble_size < 2:
-            raise ConfigurationError("ensemble_size must be >= 2")
+        check_fields(self)
         if self.backend not in ("brute", "kdtree"):
             raise ConfigurationError(f"unknown backend {self.backend!r}")
         # Looked up, not imported: scipy loads only when the KD-tree is first used.

@@ -22,7 +22,8 @@ import numpy as np
 from crsail.conformal import CalibratedThreshold
 from crsail.core import evaluate_policy, rollout, rollouts, seed_sequence
 from crsail.dataset import ExpertDataset
-from crsail.exceptions import ConfigurationError, InvariantError, NumericalFailureError
+from crsail.exceptions import (ConfigurationError, InvariantError, NumericalFailureError, bounded,
+                               check_fields)
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, update
 from crsail.strategies import StrategyConfig, label_queries, select_queries
 
@@ -55,16 +56,11 @@ class Budget:
     """Caps on environment steps and, optionally, on expert labels; a run
     ends when it reaches either. Every run has a step cap, so every run ends."""
 
-    max_steps: int
-    max_queries: int | None = None
+    max_steps: int = bounded(ge=1)
+    max_queries: int | None = bounded(default=None, ge=1)
 
     def __post_init__(self):
-        if self.max_steps is None:
-            raise ConfigurationError("max_steps must be set: every run needs a step cap")
-        for name in ("max_steps", "max_queries"):
-            cap = getattr(self, name)
-            if cap is not None and cap < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {cap}")
+        check_fields(self)
 
     def exhausted(self, queries: int, steps: int) -> bool:
         return steps >= self.max_steps or (self.max_queries is not None
@@ -137,7 +133,9 @@ class RunRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
         rec = cls(**{**data, "episodes": [EpisodeMetrics(**e) for e in data["episodes"]]})
-        if rec.summary and rec.summary != rec.compute_summary():
+        if not isinstance(rec.config, dict):
+            raise ConfigurationError(f"config must be a dict, got {type(rec.config).__name__}")
+        if rec.summary != rec.compute_summary():
             raise ConfigurationError("stored summary does not match the episode series")
         return rec
 

@@ -2,8 +2,10 @@ import configparser
 import dataclasses
 import json
 import os
+import re
 import sys
 
+import numpy as np
 import pytest
 
 from crsail.cli import OUTPUT_ROOT_ENV, main
@@ -137,7 +139,7 @@ def test_config_file_is_read_as_utf8(config_path, capsys):
 
 @pytest.mark.parametrize("override, message", [
     ("experiment.workers=two", "experiment.workers: expected an integer, got 'two'"),
-    ("experiment.m_values=5.5", "experiment.m_values: expected integers, got '5.5'"),
+    ("experiment.m_values=5.5", "experiment.m_values: expected integers, got [5.5]"),
     ("budget.max_steps=lots", "budget.max_steps: expected an integer, got 'lots'"),
     ("budget.max_steps=", "budget.max_steps: expected an integer, got ''"),
     ("strategy.k=x", "strategy.k: expected an integer, got 'x'"),
@@ -146,7 +148,7 @@ def test_config_file_is_read_as_utf8(config_path, capsys):
     ("train.learning_rate=fast", "train.learning_rate: expected a number, got 'fast'"),
     ("train.retrain_from_scratch=maybe",
      "train.retrain_from_scratch: expected true or false, got 'maybe'"),
-    ("train.bc_epochs=2.5", "train.bc_epochs: expected an integer, got '2.5'"),
+    ("train.bc_epochs=2.5", "train.bc_epochs: expected an integer, got 2.5"),
 ])
 def test_non_integer_value_names_section_and_key(config_path, override, message):
     with pytest.raises(ConfigurationError) as err:
@@ -168,9 +170,9 @@ def test_valid_strategy_and_train_values_load_as_written(config_path):
 @pytest.mark.parametrize("override, message", [
     ("experiment.env=foo", "unknown environment kind: 'foo'"),
     ("env.bogus=1", "unknown pendulum parameter 'bogus'"),
-    ("env.dt=-1", "dt and u_max must be positive"),
-    ("env.dt=fast", "pendulum parameter dt: expected a number, got 'fast'"),
-    ("env.t_max=1.5", "pendulum parameter t_max: expected an integer, got 1.5"),
+    ("env.dt=-1", "env.dt must be > 0, got -1"),
+    ("env.dt=fast", "env.dt: expected a number, got 'fast'"),
+    ("env.t_max=1.5", "env.t_max: expected an integer, got 1.5"),
 ])
 def test_env_checked_at_load(config_path, override, message):
     with pytest.raises(ConfigurationError) as err:
@@ -191,12 +193,12 @@ def test_cli_run_rejects_bad_env_and_typed_values_before_any_run(config_path, ca
 
 
 @pytest.mark.parametrize("override, message", [
-    ("train.learning_rate=nan", "learning_rate must be finite, got nan"),
-    ("train.init_scale=nan", "init_scale must be finite, got nan"),
-    ("strategy.tau=nan", "tau must be finite, got nan"),
-    ("strategy.tau_doubt=inf", "tau_doubt must be finite, got inf"),
-    ("env.dt=nan", "dt must be finite, got nan"),
-    ("env.fixed_init=1", "fixed_init: expected 2 finite numbers, got 1"),
+    ("train.learning_rate=nan", "train.learning_rate must be finite, got nan"),
+    ("train.init_scale=nan", "train.init_scale must be finite, got nan"),
+    ("strategy.tau=nan", "strategy.tau must be finite, got nan"),
+    ("strategy.tau_doubt=inf", "strategy.tau_doubt must be finite, got inf"),
+    ("env.dt=nan", "env.dt must be finite, got nan"),
+    ("env.fixed_init=1", "env.fixed_init: expected 2 finite numbers, got [1]"),
 ])
 def test_cli_run_rejects_non_finite_values_and_a_scalar_fixed_init(config_path, capsys,
                                                                    override, message):
@@ -221,21 +223,21 @@ def test_episode_counts_checked_at_load(config_path, override):
 
 
 @pytest.mark.parametrize("override, message", [
-    ("experiment.seeds=-1", "seeds must be >= 0, got -1"),
+    ("experiment.seeds=-1", "experiment.seeds must be >= 0, got -1"),
     ("experiment.seeds=", "seeds must not be empty"),
-    ("experiment.m_values=100,0", "m_values must be >= 1, got 0"),
+    ("experiment.m_values=100,0", "experiment.m_values must be >= 1, got 0"),
     ("experiment.m_values=", "m_values must not be empty"),
     ("experiment.seeds=3,3", "seeds lists 3 more than once"),
     ("experiment.m_values=100,50,100", "m_values lists 100 more than once"),
-    ("strategy.alpha=1.5", "alpha must lie in (0, 1), got 1.5"),
-    ("strategy.alpha=0", "alpha must lie in (0, 1), got 0"),
+    ("strategy.alpha=1.5", "strategy.alpha must lie in (0, 1), got 1.5"),
+    ("strategy.alpha=0", "strategy.alpha must lie in (0, 1), got 0"),
     ("strategy.backend=bogus", "unknown backend 'bogus'"),
-    ("strategy.tau_doubt=-1", "tau_doubt must be >= 0"),
-    ("budget.max_steps=0", "max_steps must be >= 1, got 0"),
-    ("budget.max_steps=-5", "max_steps must be >= 1, got -5"),
-    ("budget.max_queries=0", "max_queries must be >= 1, got 0"),
-    ("experiment.workers=0", "workers must be >= 1, got 0"),
-    ("experiment.workers=-2", "workers must be >= 1, got -2"),
+    ("strategy.tau_doubt=-1", "strategy.tau_doubt must be >= 0, got -1"),
+    ("budget.max_steps=0", "budget.max_steps must be >= 1, got 0"),
+    ("budget.max_steps=-5", "budget.max_steps must be >= 1, got -5"),
+    ("budget.max_queries=0", "budget.max_queries must be >= 1, got 0"),
+    ("experiment.workers=0", "experiment.workers must be >= 1, got 0"),
+    ("experiment.workers=-2", "experiment.workers must be >= 1, got -2"),
 ])
 def test_grid_checked_at_load(config_path, override, message):
     with pytest.raises(ConfigurationError) as err:
@@ -585,3 +587,74 @@ def test_bad_record_files_are_skipped_and_named(config_path, capsys):
     for line, (name, cause) in zip(lines, sorted(causes.items())):
         assert line.startswith(f"crsail summarize: skipped {os.path.join(outdir, name)}: ")
         assert cause in line
+
+
+def test_fixed_init_from_a_config_file_loads_runs_and_prints_back(config_path, capsys):
+    with open(config_path, "a") as fh:
+        fh.write("\n[env]\nfixed_init = 0.1, 0.2\n")
+    config = ExperimentConfig.from_file(config_path)
+    assert config.env_overrides == {"fixed_init": [0.1, 0.2]}
+    assert _reparse(config) == config
+    records, failures = run(config)
+    assert failures == [] and records[0].config["env_overrides"] == {"fixed_init": [0.1, 0.2]}
+    assert main(["run", config_path, "--print-config"]) == 0
+    printed = capsys.readouterr().out
+    assert "fixed_init = 0.1,0.2\n" in printed
+    parser = configparser.ConfigParser()
+    parser.read_string(printed)
+    assert ExperimentConfig.from_parser(parser) == config
+    direct = ExperimentConfig(env="pusher", strategy="dagger",
+                              env_overrides={"fixed_init": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]})
+    assert _reparse(direct) == direct
+
+
+def _small_run_record(tmp_path, name, **kwargs):
+    config = ExperimentConfig(**{
+        "env": "pendulum", "strategy": "dagger", "seeds": [0], "m_values": [30],
+        "output_dir": str(tmp_path / name), "eval_episodes": 2, "max_steps": 40,
+        "train_params": {"bc_epochs": 2, "update_epochs": 1}, **kwargs})
+    records, failures = run(config)
+    assert failures == []
+    with open(os.path.join(config.output_dir, run_basename("dagger", 30, 0) + ".json")) as fh:
+        saved = json.load(fh)
+    for episode in saved["episodes"]:
+        del episode["wall_time"]
+    return saved
+
+
+@pytest.mark.parametrize("numpy_kwargs, plain_kwargs", [
+    ({"seeds": [np.int64(0)]}, {"seeds": [0]}),
+    ({"env_overrides": {"t_max": np.int64(20)}}, {"env_overrides": {"t_max": 20}}),
+    ({"env_overrides": {"fixed_init": np.array([0.1, 0.2])}},
+     {"env_overrides": {"fixed_init": [0.1, 0.2]}}),
+    ({"strategy_params": {"alpha": np.float64(0.5)}, "m_cal": np.int64(4)},
+     {"strategy_params": {"alpha": 0.5}, "m_cal": 4}),
+], ids=["seeds", "t_max", "fixed_init", "alpha-m_cal"])
+def test_numpy_config_values_save_the_record_of_plain_ones(tmp_path, numpy_kwargs,
+                                                           plain_kwargs):
+    saved = _small_run_record(tmp_path, "numpy", **numpy_kwargs)
+    assert saved == _small_run_record(tmp_path, "plain", **plain_kwargs)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda record: record.update(summary={}),
+    lambda record: record.pop("summary"),
+    lambda record: record.update(config=None),
+    lambda record: record.update(config=["not", "a", "dict"]),
+], ids=["empty-summary", "no-summary", "null-config", "list-config"])
+def test_record_without_summary_or_dict_config_is_skipped(config_path, capsys, edit):
+    assert main(["run", config_path]) == 0
+    outdir = ExperimentConfig.from_file(config_path).output_dir
+    with open(os.path.join(outdir, run_basename("dagger", 100, 0) + ".json")) as fh:
+        record = json.load(fh)
+    edit(record)
+    bad = os.path.join(outdir, "edited.json")
+    with open(bad, "w") as fh:
+        json.dump(record, fh)
+    capsys.readouterr()
+    assert main(["summarize", outdir]) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"crsail summarize: skipped {re.escape(bad)}: ConfigurationError: "
+                        r"(stored summary does not match the episode series"
+                        r"|config must be a dict, got (NoneType|list))\n", captured.err)
+    assert re.search(r"^dagger +100 +1 ", captured.out, re.M)  # the one good record

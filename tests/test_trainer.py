@@ -48,7 +48,7 @@ def small_run(strategy, budget=None, seed=0, env_kind="pendulum", **kwargs):
 def test_budget_validation_and_exhaustion():
     with pytest.raises(TypeError):  # the step cap is required
         Budget(max_queries=10)
-    with pytest.raises(ConfigurationError, match="^max_steps must be set"):
+    with pytest.raises(ConfigurationError, match=r"^max_steps: expected an integer, got None$"):
         Budget(max_steps=None, max_queries=10)
     b = Budget(max_queries=10, max_steps=100)
     assert not b.exhausted(9, 99)
