@@ -47,29 +47,25 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    axes = [("alpha", args.alpha), ("k", args.K), ("m", args.M)]
+    axes = [("alpha", args.alpha), ("k", args.K)]
     chosen = [(name, vals) for name, vals in axes if vals]
     if len(chosen) != 1:
-        print("sweep requires exactly one of --alpha/--K/--M", file=sys.stderr)
+        print("sweep requires exactly one of --alpha/--K", file=sys.stderr)
         return 2
     name, raw = chosen[0]
-    if name != "m" and name not in READS[config.strategy]:
+    if name not in READS[config.strategy]:
         raise ConfigurationError(f"axis {name}: strategy {config.strategy} does not read {name}")
-    # the field the axis sets: a strategy field, or m_values with one M in it
-    owner, target = (ExperimentConfig, "m_values") if name == "m" else (StrategyConfig, name)
-    kind = next(f.type for f in fields(owner) if f.name == target)
+    kind = next(f.type for f in fields(StrategyConfig) if f.name == name)
     base_outdir = config.output_dir
     given = [tok.strip() for tok in raw.split(",") if tok.strip()]
     values = [_convert(val) for val in given]
     for value in values:  # its type here; its bound when its config is built below
-        check_value(f"axis {name}", kind, [value] if name == "m" else value)
+        check_value(f"axis {name}", kind, value)
     check_axis(f"axis {name}", values)
     points = []  # (value as given, its config); every point is checked before any runs
     for val, value in zip(given, values):
-        change = {"m_values": [value]} if name == "m" else \
-            {"strategy_params": {**config.strategy_params, name: value}}
         points.append((val, replace(config, output_dir=os.path.join(base_outdir, f"{name}_{val}"),
-                                    **change)))
+                                    strategy_params={**config.strategy_params, name: value})))
     any_failed = False
     total = 0
     for val, sub in points:
@@ -141,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_args(p_sweep)
     p_sweep.add_argument("--alpha", help="comma-separated miscoverage values")
     p_sweep.add_argument("--K", help="comma-separated neighbor orders")
-    p_sweep.add_argument("--M", help="comma-separated initial dataset sizes")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_sum = sub.add_parser("summarize", help="summarize run records in a directory")

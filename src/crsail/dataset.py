@@ -29,6 +29,12 @@ class Standardizer:
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
 
+    def check_width(self, width: int, owner: str) -> None:
+        """Raise a ConfigurationError naming both widths unless the map is `width` wide."""
+        if np.shape(self.mean) != (width,) or np.shape(self.std) != (width,):
+            raise ConfigurationError(f"the standardizer has width {np.size(self.mean)}, "
+                                     f"but {owner} states have width {width}")
+
 
 def _checked_pairs(states, actions, first_row: int, dims=None):
     """`states` and `actions` as 2-D float arrays, checked as they enter a dataset.
@@ -59,13 +65,17 @@ def _checked_pairs(states, actions, first_row: int, dims=None):
 class ExpertDataset:
     """Growable multiset of (state, expert action) pairs.
 
-    Duplicates are kept with multiplicity. The standardizer, when set, is the
-    one fitted on the initial dataset and stays frozen as the dataset grows;
-    it is shared between policy training and novelty scoring.
+    Duplicates are kept with multiplicity. A dataset starts with at least one
+    pair. The standardizer is the one fitted on the initial states (see
+    `trainer.build_initial_dataset`) and stays frozen as the dataset grows;
+    novelty scoring and every policy cloned from the dataset share it.
     """
 
-    def __init__(self, states, actions, standardizer: Standardizer | None = None):
+    def __init__(self, states, actions, standardizer: Standardizer):
         self.states, self.actions = _checked_pairs(states, actions, 0)
+        if not len(self.states):
+            raise ConfigurationError("an expert dataset needs at least one initial pair")
+        standardizer.check_width(self.state_dim, "the dataset's")
         self.standardizer = standardizer
 
     @property
@@ -90,11 +100,6 @@ class ExpertDataset:
         if len(states):
             self.states = np.concatenate([self.states, states])
             self.actions = np.concatenate([self.actions, actions])
-
-    def freeze_standardizer(self) -> Standardizer:
-        """Fit the standardizer on the current contents and freeze it."""
-        self.standardizer = Standardizer.fit(self.states)
-        return self.standardizer
 
     def copy(self) -> "ExpertDataset":
         return ExpertDataset(self.states.copy(), self.actions.copy(), self.standardizer)

@@ -1,10 +1,10 @@
 """Distance to the K-th nearest expert state as a novelty score: the paper's
 s_K, computed for a batch of states by `score_batch`, the one entry point.
 
-Scores are Euclidean distances on standardized coordinates whenever the
-dataset carries a standardizer, as the policy's inputs are. Duplicates count
-with multiplicity. K and the backend are the `k` and `backend` fields of the
-query rule's `StrategyConfig`, which checks them. Two backends: exact brute
+Scores are Euclidean distances in the coordinates of the dataset's
+standardizer, the map the policy applies to its inputs. Duplicates count with
+multiplicity. K and the backend are the `k` and `backend` fields of the query
+rule's `StrategyConfig`, which checks them. Two backends: exact brute
 force (default) and a KD-tree, which agree to the bit for up to 7 dimensions
 and to rounding beyond. The KD-tree is scipy's, imported on its first use, so
 a process that never asks for it never loads scipy.
@@ -39,14 +39,11 @@ def score_batch(states, dataset: ExpertDataset, config: StrategyConfig) -> np.nd
     k = config.k
     if k > len(dataset):
         raise InsufficientDataError(f"K={k} exceeds dataset size {len(dataset)}")
-    points = np.asarray(dataset.states, dtype=np.float64)
     q = np.atleast_2d(states)
-    if q.ndim != 2 or q.shape[1] != points.shape[1]:
+    if q.ndim != 2 or q.shape[1] != dataset.state_dim:
         raise ConfigurationError(f"states have width {q.shape[-1]} (shape {states.shape}), but "
-                                 f"the dataset's states have width {points.shape[1]}")
-    if dataset.standardizer is not None:
-        points = dataset.standardizer.transform(points)
-        q = dataset.standardizer.transform(q)
+                                 f"the dataset's states have width {dataset.state_dim}")
+    points, q = dataset.standardizer.transform(dataset.states), dataset.standardizer.transform(q)
     if config.backend == "kdtree":
         from scipy.spatial import cKDTree
 

@@ -32,19 +32,20 @@ class TrainConfig:
 
 
 class MLPPolicy:
-    """Deterministic policy u = W2 tanh(W1 z + b1) + b2 on standardized input z."""
+    """Deterministic policy u = W2 tanh(W1 z + b1) + b2 on standardized input
+    z = standardizer.transform(state), the map of the dataset it learns from."""
 
-    def __init__(self, w1, b1, w2, b2, standardizer: Standardizer | None = None):
+    def __init__(self, w1, b1, w2, b2, standardizer: Standardizer):
         self.w1 = np.asarray(w1, dtype=np.float64)
         self.b1 = np.asarray(b1, dtype=np.float64)
         self.w2 = np.asarray(w2, dtype=np.float64)
         self.b2 = np.asarray(b2, dtype=np.float64)
+        standardizer.check_width(self.state_dim, "the policy's")
         self.standardizer = standardizer
 
     @classmethod
     def initialize(cls, state_dim: int, action_dim: int, config: TrainConfig,
-                   rng: np.random.Generator,
-                   standardizer: Standardizer | None = None) -> "MLPPolicy":
+                   rng: np.random.Generator, standardizer: Standardizer) -> "MLPPolicy":
         h = HIDDEN
         s = config.init_scale
         return cls(
@@ -64,10 +65,12 @@ class MLPPolicy:
     def state_dim(self) -> int:
         return self.w1.shape[1]
 
-    def _standardize(self, x: np.ndarray) -> np.ndarray:
-        if self.standardizer is None:
-            return x
-        return self.standardizer.transform(x)
+    def _check_states(self, states: np.ndarray) -> None:
+        """Raise a ConfigurationError naming both widths unless each state is state_dim wide."""
+        if states.shape[-1:] != (self.state_dim,):
+            raise ConfigurationError(
+                f"states have width {states.shape[-1] if states.ndim else 0} (shape "
+                f"{states.shape}), but the policy's states have width {self.state_dim}")
 
     def act(self, state) -> np.ndarray:
         """The action for one state (d,), or one per row of a stack (n, d).
@@ -76,11 +79,9 @@ class MLPPolicy:
         a stack gets the same bits as the row alone, which one (n, d) matmul
         over the batch does not promise.
         """
-        z = self._standardize(np.asarray(state, dtype=np.float64))
-        if z.shape[-1] != self.state_dim:
-            raise ConfigurationError(
-                f"state dim {z.shape[-1]} does not match policy dim {self.state_dim}"
-            )
+        state = np.asarray(state, dtype=np.float64)
+        self._check_states(state)
+        z = self.standardizer.transform(state)
         hidden = np.tanh(z[..., None, :] @ self.w1.T + self.b1)
         return (hidden @ self.w2.T + self.b2)[..., 0, :]
 
@@ -155,7 +156,8 @@ def loss_and_grad(policy: MLPPolicy, states: np.ndarray, labels: np.ndarray):
     labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
     if len(states) == 0:
         raise ConfigurationError("batch must be non-empty")
-    err, *grads = _gradient(policy.params, policy._standardize(states), labels)
+    policy._check_states(states)
+    err, *grads = _gradient(policy.params, policy.standardizer.transform(states), labels)
     return float((err**2).sum() / len(states)), dict(zip(PARAMS, grads))
 
 
@@ -207,19 +209,15 @@ def behavioral_cloning(dataset: ExpertDataset, config: TrainConfig,
                        members: int | None = None) -> MLPPolicy | list[MLPPolicy]:
     """Train a fresh policy on the dataset by minibatch SGD, drawing from `rng`.
 
-    Freezes the dataset standardizer (fitting it if not already set) and
-    shares it with the returned policy. With `members` set, returns that many
-    policies, each trained on its own bootstrap resample of the dataset: the
-    generator gives each member, in turn, its resample, its initial weights
-    and its epochs' permutations, and the members then train in lockstep.
-    Each member gets the bits of a one-member call on its resample.
+    The returned policy shares the dataset's standardizer, and the dataset is
+    left as it is. With `members` set, returns that many policies, each
+    trained on its own bootstrap resample of the dataset: the generator gives
+    each member, in turn, its resample, its initial weights and its epochs'
+    permutations, and the members then train in lockstep. Each member gets
+    the bits of a one-member call on its resample.
     """
-    if len(dataset) == 0:
-        raise ConfigurationError("behavioral cloning requires a non-empty dataset")
     if members is not None and members < 1:
         raise ConfigurationError(f"members must be >= 1, got {members}")
-    if dataset.standardizer is None:
-        dataset.freeze_standardizer()
     n = len(dataset)
     count = 1 if members is None else members
     perms = np.empty((config.bc_epochs, count, n), dtype=np.intp)
@@ -251,8 +249,6 @@ def update(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
     `epochs` overrides config.update_epochs; it stays a parameter because
     the benchmark's tracer reads it to count the rows each update trains on.
     """
-    if len(dataset) == 0:
-        raise ConfigurationError("update requires a non-empty dataset")
     if config.retrain_from_scratch:
         if epochs is not None:
             raise ConfigurationError(
@@ -266,6 +262,6 @@ def update(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
     policy = policy.copy()
     perms = np.empty((epochs, len(dataset)), dtype=np.intp)
     _shuffle_into(perms, rng)
-    _sgd_epochs(policy.params, policy._standardize(dataset.states), dataset.actions, perms,
-                config)
+    _sgd_epochs(policy.params, policy.standardizer.transform(dataset.states), dataset.actions,
+                perms, config)
     return policy

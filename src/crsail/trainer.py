@@ -21,7 +21,7 @@ import numpy as np
 
 from crsail.conformal import CalibratedThreshold
 from crsail.core import evaluate_policy, rollout, rollouts, seed_sequence
-from crsail.dataset import ExpertDataset
+from crsail.dataset import ExpertDataset, Standardizer
 from crsail.exceptions import (ConfigurationError, InvariantError, NumericalFailureError, bounded,
                                check_fields)
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, update
@@ -155,7 +155,8 @@ class RunRecord:
 
 def build_initial_dataset(env, expert, m: int, seed) -> ExpertDataset:
     """Concatenate whole expert episodes, episode i on child i of the seed,
-    until at least m pairs are collected.
+    until at least m pairs are collected, with the standardizer fitted on
+    these initial states: it stays frozen as the dataset grows.
 
     The episodes are stepped in batches of the next ceil((m - total) / t_max):
     an episode adds at most t_max pairs, so only the last of a batch can reach
@@ -169,8 +170,9 @@ def build_initial_dataset(env, expert, m: int, seed) -> ExpertDataset:
         batch = rollouts(env, expert, seed.spawn(-((total - m) // env.t_max)))
         trajectories += batch
         total += sum(t.length for t in batch)
-    return ExpertDataset(np.concatenate([t.states[:-1] for t in trajectories]),
-                         np.concatenate([t.actions for t in trajectories]))
+    states = np.concatenate([t.states[:-1] for t in trajectories])
+    return ExpertDataset(states, np.concatenate([t.actions for t in trajectories]),
+                         Standardizer.fit(states))
 
 
 def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,

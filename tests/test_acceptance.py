@@ -21,6 +21,7 @@ from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning, loss_and_g
 from crsail.strategies import StrategyConfig
 from crsail.trainer import Budget, build_initial_dataset, train
 from crsail.conformal import calibrate_radius
+from helpers import identity_standardizer
 
 SEEDS = [0, 1, 2, 3, 4]
 M_INIT = 500
@@ -133,7 +134,7 @@ def test_criterion_3_backend_equivalence(capsys):
     for n_data in (10, 1_000, 10_000):
         points = rng.normal(size=(n_data, 4))
         points[n_data // 2:n_data // 2 + n_data // 10 + 1] = points[0]  # duplicates
-        ds = ExpertDataset(points, np.zeros((n_data, 1)))
+        ds = ExpertDataset(points, np.zeros((n_data, 1)), identity_standardizer(4))
         queries = rng.normal(size=(1000, 4))
         for k in (1, 5, 9):
             brute = score_batch(queries, ds, knn(k, "brute"))
@@ -144,7 +145,7 @@ def test_criterion_3_backend_equivalence(capsys):
     for trial in range(100):
         n = int(rng.integers(4, 40))
         pts = rng.normal(size=(n, 3))
-        ds = ExpertDataset(pts, np.zeros((n, 1)))
+        ds = ExpertDataset(pts, np.zeros((n, 1)), identity_standardizer(3))
         x = rng.normal(size=3)
         s = [score_batch([x], ds, knn(k))[0] for k in range(1, n + 1)]
         invariants = invariants and all(a <= b for a, b in zip(s, s[1:]))
@@ -192,6 +193,7 @@ def test_criterion_4_gradient_check(capsys):
             b1=rng.standard_normal(hidden),
             w2=rng.standard_normal((a, hidden)),
             b2=rng.standard_normal(a),
+            standardizer=identity_standardizer(d),
         )
         states = rng.standard_normal((batch, d))
         labels = rng.standard_normal((batch, a))

@@ -245,7 +245,8 @@ def test_grid_checked_at_load(config_path, override, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("command", [["run"], ["sweep", "--M", "50"]])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--K", "3", "--set",
+                                               "experiment.strategy=fixed-threshold"]])
 @pytest.mark.parametrize("override", ["experiment.workers=two", "strategy.k=0",
                                       "experiment.seeds=-1", "experiment.m_values=",
                                       "strategy.alpha=1.5", "strategy.backend=bogus",
@@ -365,28 +366,29 @@ def test_cli_run_summarize_plotdata(config_path, capsys):
 def test_cli_sweep_requires_one_axis(config_path, capsys):
     assert main(["sweep", config_path]) == 2
     assert main(["sweep", config_path, "--alpha", "0.5", "--K", "3"]) == 2
+    with pytest.raises(SystemExit) as exc:  # M is the grid's m_values axis, not a sweep's
+        main(["sweep", config_path, "--M", "50"])
+    assert exc.value.code == 2
 
 
-def test_cli_sweep_m_axis(config_path, tmp_path, capsys):
-    assert main(["sweep", config_path, "--M", "50,100"]) == 0
+def test_cli_sweep_runs_each_value_into_its_subdirectory(config_path, capsys):
+    fixed = ["--set", "experiment.strategy=fixed-threshold"]
+    assert main(["sweep", config_path, "--K", "3,5", *fixed]) == 0
     outdir = ExperimentConfig.from_file(config_path).output_dir
-    assert os.path.exists(os.path.join(outdir, "m_50",
-                                       run_basename("dagger", 50, 0) + ".json"))
-    assert os.path.exists(os.path.join(outdir, "m_100",
-                                       run_basename("dagger", 100, 0) + ".json"))
+    for k in (3, 5):
+        assert os.path.exists(os.path.join(outdir, f"k_{k}",
+                                           run_basename("fixed-threshold", 100, 0) + ".json"))
     capsys.readouterr()
-    # nested sweep outputs are picked up by summarize
+    # nested sweep outputs are picked up by summarize: one (method, M) row of two runs
     assert main(["summarize", outdir]) == 0
-    text = capsys.readouterr().out
-    assert "50" in text and "100" in text
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[:3] for row in rows] == [["fixed-threshold", "100", "2"]]
 
 
 @pytest.mark.parametrize("axis, values, message", [
     ("--K", "3,x", "axis k: expected an integer, got 'x'"),
     ("--alpha", "0.5,high", "axis alpha: expected a number, got 'high'"),
-    ("--M", "50,0", "m_values must be >= 1, got 0"),
     ("--alpha", "0.5,1.5", "alpha must lie in (0, 1), got 1.5"),
-    ("--M", "50,50", "axis m lists 50 more than once"),  # both would write m_50
     ("--K", "3,5,3", "axis k lists 3 more than once"),
     ("--alpha", "0.5,0.50", "axis alpha lists 0.5 more than once"),
 ])
@@ -539,12 +541,13 @@ def test_failing_grid_notes_carry_traceback(tmp_path, workers):
 
 
 def test_load_records_reads_top_level_then_sweep_subdirectories(config_path):
-    assert main(["sweep", config_path, "--M", "100,50"]) == 0
-    assert main(["run", config_path]) == 0
+    fixed = ["--set", "experiment.strategy=fixed-threshold"]
+    assert main(["sweep", config_path, "--K", "7,3", *fixed]) == 0
+    assert main(["run", config_path, *fixed]) == 0
     outdir = ExperimentConfig.from_file(config_path).output_dir
     records = load_records(outdir)
-    # the top-level record, then m_100/ and m_50/ in name order
-    assert [r.config["m"] for r in records] == [100, 100, 50]
+    # the top-level record (the default K=5), then k_3/ and k_7/ in name order
+    assert [r.config["strategy_params"]["k"] for r in records] == [5, 3, 7]
 
 
 @pytest.mark.parametrize("command", ["summarize", "plotdata"])

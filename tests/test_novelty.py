@@ -14,6 +14,7 @@ from crsail.dataset import ExpertDataset, Standardizer
 from crsail.exceptions import ConfigurationError, InsufficientDataError, NumericalFailureError
 from crsail.novelty import score_batch
 from crsail.strategies import StrategyConfig
+from helpers import identity_standardizer
 
 
 def knn(k, backend="brute"):
@@ -23,7 +24,7 @@ def knn(k, backend="brute"):
 
 def dataset_1d(values):
     values = np.asarray(values, dtype=np.float64)
-    return ExpertDataset(values[:, None], np.zeros((len(values), 1)))
+    return ExpertDataset(values[:, None], np.zeros((len(values), 1)), identity_standardizer(1))
 
 
 def _pairwise_block_scan(states, dataset, k):
@@ -31,8 +32,7 @@ def _pairwise_block_scan(states, dataset, k):
     differences summed over its last axis, then partitioned. It pins the bits
     that the streaming scan in `score_batch` must keep."""
     points, q = dataset.states, np.atleast_2d(np.asarray(states, dtype=np.float64))
-    if dataset.standardizer is not None:
-        points, q = dataset.standardizer.transform(points), dataset.standardizer.transform(q)
+    points, q = dataset.standardizer.transform(points), dataset.standardizer.transform(q)
     sq = ((q[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
     return np.sqrt(np.partition(sq, k - 1, axis=1)[:, k - 1])
 
@@ -88,7 +88,7 @@ def test_batch_empty_and_singleton():
 def test_batch_matches_per_state_brute_force():
     rng = np.random.default_rng(0)
     states = rng.normal(size=(50, 3))
-    ds = ExpertDataset(states, np.zeros((50, 1)))
+    ds = ExpertDataset(states, np.zeros((50, 1)), identity_standardizer(3))
     queries = rng.normal(size=(200, 3))
     cfg = knn(4)
     batch = score_batch(queries, ds, cfg)
@@ -103,7 +103,7 @@ def test_backend_equivalence_exact():
     for d in range(1, 8):
         points = rng.normal(size=(500, d))
         points = np.vstack([points, points[:20]])  # duplicates
-        ds = ExpertDataset(points, np.zeros((len(points), 1)))
+        ds = ExpertDataset(points, np.zeros((len(points), 1)), identity_standardizer(d))
         queries = rng.normal(size=(300, d))
         for k in (1, 5, 9):
             brute = score_batch(queries, ds, knn(k, "brute"))
@@ -151,7 +151,7 @@ def test_backends_agree_to_rounding_from_8_dims(d):
     # streaming scan and the tree may each round the sum differently.
     rng = np.random.default_rng(20 + d)
     points = rng.normal(size=(300, d))
-    ds = ExpertDataset(points, np.zeros((300, 1)))
+    ds = ExpertDataset(points, np.zeros((300, 1)), identity_standardizer(d))
     queries = rng.normal(size=(70, d))
     brute = score_batch(queries, ds, knn(5, "brute"))
     np.testing.assert_allclose(brute, score_batch(queries, ds, knn(5, "kdtree")), rtol=1e-12)
@@ -164,9 +164,8 @@ def test_brute_scan_matches_pairwise_block_bits(d, standardized):
     rng = np.random.default_rng(d)
     points = rng.normal(size=(40, d)) * rng.uniform(0.1, 10.0, size=d)
     points = np.vstack([points, points[:9]])  # duplicated rows
-    ds = ExpertDataset(points, np.zeros((len(points), 1)))
-    if standardized:
-        ds.standardizer = Standardizer.fit(points)
+    scale = Standardizer.fit(points) if standardized else identity_standardizer(d)
+    ds = ExpertDataset(points, np.zeros((len(points), 1)), scale)
     # query counts below, at, just above and well past one 32-row block
     for n_queries in (1, 31, 32, 33, 97):
         queries = rng.normal(size=(n_queries, d)) * 3.0
@@ -179,7 +178,7 @@ def test_brute_scan_memory_is_bounded():
     # A calibration-sized call: a (B, N, d) block of differences would take
     # B * 6500 * 6 floats; two (32, N) buffers take about 3.3 MB.
     rng = np.random.default_rng(7)
-    ds = ExpertDataset(rng.normal(size=(6500, 6)), np.zeros((6500, 1)))
+    ds = ExpertDataset(rng.normal(size=(6500, 6)), np.zeros((6500, 1)), identity_standardizer(6))
     queries = rng.normal(size=(3000, 6))
     tracemalloc.start()
     try:
@@ -192,7 +191,7 @@ def test_brute_scan_memory_is_bounded():
 
 def test_scores_reflect_appends():
     rng = np.random.default_rng(2)
-    ds = ExpertDataset(rng.normal(size=(20, 2)), np.zeros((20, 1)))
+    ds = ExpertDataset(rng.normal(size=(20, 2)), np.zeros((20, 1)), identity_standardizer(2))
     cfg = knn(1)
     new_states = rng.normal(size=(5, 2))
     assert np.all(score_batch(new_states, ds, cfg) > 0.0)
@@ -202,8 +201,8 @@ def test_scores_reflect_appends():
 
 def test_standardized_mode_uses_frozen_standardizer():
     states = np.array([[0.0, 0.0], [2.0, 200.0]])
-    ds = ExpertDataset(states, np.zeros((2, 1)))
-    ds.standardizer = Standardizer(mean=np.array([0.0, 0.0]), std=np.array([1.0, 100.0]))
+    scale = Standardizer(mean=np.array([0.0, 0.0]), std=np.array([1.0, 100.0]))
+    ds = ExpertDataset(states, np.zeros((2, 1)), scale)
     cfg = knn(1)
     # second coordinate is shrunk by 100x under the standardizer
     assert score_batch([[0.0, 100.0]], ds, cfg)[0] == 1.0
@@ -215,7 +214,7 @@ def test_monotone_in_k(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
     n = data.draw(st.integers(3, 30))
     points = rng.normal(size=(n, 2))
-    ds = ExpertDataset(points, np.zeros((n, 1)))
+    ds = ExpertDataset(points, np.zeros((n, 1)), identity_standardizer(2))
     x = rng.normal(size=2)
     scores = [score_batch([x], ds, knn(k))[0] for k in range(1, n + 1)]
     assert all(a <= b for a, b in zip(scores, scores[1:]))
@@ -228,7 +227,7 @@ def test_antitone_in_data(data):
     n = data.draw(st.integers(3, 30))
     k = data.draw(st.integers(1, 3))
     points = rng.normal(size=(n, 2))
-    ds = ExpertDataset(points, np.zeros((n, 1)))
+    ds = ExpertDataset(points, np.zeros((n, 1)), identity_standardizer(2))
     x = rng.normal(size=2)
     before = score_batch([x], ds, knn(k))[0]
     ds.append(rng.normal(size=(1, 2)), np.zeros((1, 1)))
@@ -240,8 +239,8 @@ def test_permutation_invariance():
     rng = np.random.default_rng(3)
     points = rng.normal(size=(15, 3))
     perm = rng.permutation(15)
-    ds1 = ExpertDataset(points, np.zeros((15, 1)))
-    ds2 = ExpertDataset(points[perm], np.zeros((15, 1)))
+    ds1 = ExpertDataset(points, np.zeros((15, 1)), identity_standardizer(3))
+    ds2 = ExpertDataset(points[perm], np.zeros((15, 1)), identity_standardizer(3))
     x = rng.normal(size=3)
     cfg = knn(4)
     assert score_batch([x], ds1, cfg)[0] == score_batch([x], ds2, cfg)[0]
@@ -253,8 +252,8 @@ def test_translation_invariance_unstandardized():
     shift = np.array([3.5, -1.25])
     x = rng.normal(size=2)
     cfg = knn(3)
-    ds1 = ExpertDataset(points, np.zeros((10, 1)))
-    ds2 = ExpertDataset(points + shift, np.zeros((10, 1)))
+    ds1 = ExpertDataset(points, np.zeros((10, 1)), identity_standardizer(2))
+    ds2 = ExpertDataset(points + shift, np.zeros((10, 1)), identity_standardizer(2))
     # exact equality is too strict: the shift perturbs the rounding of the
     # squared differences
     assert score_batch([x], ds1, cfg)[0] == pytest.approx(score_batch([x + shift], ds2, cfg)[0],
@@ -262,7 +261,7 @@ def test_translation_invariance_unstandardized():
 
 
 def test_append_rejects_non_finite_labels_naming_label_and_row():
-    ds = ExpertDataset(np.zeros((3, 2)), np.zeros((3, 1)))
+    ds = ExpertDataset(np.zeros((3, 2)), np.zeros((3, 1)), identity_standardizer(2))
     states = np.array([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(NumericalFailureError, match=r"label \[inf\].*row 4"):
         ds.append(states, np.array([[0.5], [np.inf]]))
@@ -272,19 +271,19 @@ def test_append_rejects_non_finite_labels_naming_label_and_row():
 def test_initial_pairs_are_checked_as_appended_ones_are():
     states = np.zeros((3, 2))
     with pytest.raises(NumericalFailureError, match=r"label \[nan\].*\(row 2 of the dataset\)"):
-        ExpertDataset(states, np.array([[0.5], [1.0], [np.nan]]))
+        ExpertDataset(states, np.array([[0.5], [1.0], [np.nan]]), identity_standardizer(2))
     with pytest.raises(ConfigurationError, match="count mismatch: 3 vs 2"):
-        ExpertDataset(states, np.zeros((2, 1)))
+        ExpertDataset(states, np.zeros((2, 1)), identity_standardizer(2))
     with pytest.raises(ConfigurationError, match="mismatched dimensions"):
-        ExpertDataset(np.zeros((3, 2, 1)), np.zeros((3, 1)))
-    ds = ExpertDataset(states, np.zeros((3, 1)))
+        ExpertDataset(np.zeros((3, 2, 1)), np.zeros((3, 1)), identity_standardizer(1))
+    ds = ExpertDataset(states, np.zeros((3, 1)), identity_standardizer(2))
     with pytest.raises(ConfigurationError, match="mismatched dimensions"):
         ds.append(np.zeros((0, 2)), np.zeros((0, 2)))  # an empty block of the wrong width
     assert len(ds) == 3
 
 
 def test_append_rejects_mismatched_row_counts():
-    ds = ExpertDataset(np.zeros((4, 2)), np.zeros((4, 1)))
+    ds = ExpertDataset(np.zeros((4, 2)), np.zeros((4, 1)), identity_standardizer(2))
     with pytest.raises(ConfigurationError, match="count mismatch: 3 vs 1"):
         ds.append(np.ones((3, 2)), np.ones((1, 1)))
     with pytest.raises(ConfigurationError, match="count mismatch: 0 vs 2"):

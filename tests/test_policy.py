@@ -19,7 +19,9 @@ from crsail.policy import (
     update,
 )
 from crsail.trainer import build_initial_dataset
-from helpers import params_equal, same_bits
+from crsail.novelty import score_batch
+from crsail.strategies import StrategyConfig
+from helpers import identity_standardizer, params_equal, same_bits
 
 
 def random_policy(rng, d=3, a=2, hidden=8):
@@ -28,6 +30,7 @@ def random_policy(rng, d=3, a=2, hidden=8):
         b1=rng.standard_normal(hidden),
         w2=rng.standard_normal((a, hidden)),
         b2=rng.standard_normal(a),
+        standardizer=identity_standardizer(d),
     )
 
 
@@ -72,12 +75,14 @@ def assert_grads_close(analytic, numeric, rel=1e-4, tiny=1e-8):
 
 
 def test_zero_params_give_zero_action():
-    policy = MLPPolicy(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.zeros(2))
+    policy = MLPPolicy(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.zeros(2),
+                       identity_standardizer(3))
     assert np.array_equal(policy.act(np.array([1.0, -2.0, 3.0])), np.zeros(2))
 
 
 def test_identity_like_1d_case():
-    policy = MLPPolicy(np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), np.zeros(1))
+    policy = MLPPolicy(np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), np.zeros(1),
+                       identity_standardizer(1))
     assert policy.act(np.zeros(1))[0] == 0.0
 
 
@@ -99,7 +104,8 @@ def test_loss_zero_at_minimum():
 
 
 def test_loss_and_grad_hand_case():
-    policy = MLPPolicy(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+    policy = MLPPolicy(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1),
+                       identity_standardizer(1))
     loss, grads = loss_and_grad(policy, np.array([[0.0]]), np.array([[2.0]]))
     assert loss == 4.0
     assert grads["b2"][0] == -4.0
@@ -198,13 +204,14 @@ def test_one_wide_action_gradient_equals_the_reference(members):
 
 
 def test_dimension_mismatch_rejected():
-    policy = MLPPolicy(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.zeros(2))
+    policy = MLPPolicy(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.zeros(2),
+                       identity_standardizer(3))
     with pytest.raises(ConfigurationError):
         policy.act(np.zeros(5))
 
 
 def test_bc_fits_single_pair():
-    dataset = ExpertDataset(np.array([[0.5, -0.5]]), np.array([[1.0]]))
+    dataset = ExpertDataset(np.array([[0.5, -0.5]]), np.array([[1.0]]), identity_standardizer(2))
     policy = behavioral_cloning(dataset, TrainConfig(bc_epochs=500, batch_size=1),
                                 np.random.default_rng(0))
     assert abs(policy.act(np.array([0.5, -0.5]))[0] - 1.0) < 1e-2
@@ -229,9 +236,11 @@ def test_bc_is_deterministic():
 
 
 def test_empty_dataset_rejected():
-    empty = ExpertDataset(np.zeros((0, 2)), np.zeros((0, 1)))
-    with pytest.raises(ConfigurationError):
-        behavioral_cloning(empty, TrainConfig(), np.random.default_rng(0))
+    with pytest.raises(ConfigurationError, match="at least one initial pair"):
+        ExpertDataset(np.zeros((0, 2)), np.zeros((0, 1)), identity_standardizer(2))
+    dataset = ExpertDataset(np.zeros((1, 2)), np.zeros((1, 1)), identity_standardizer(2))
+    dataset.append(np.zeros((0, 2)), np.zeros((0, 1)))  # appending no pairs stays legal
+    assert len(dataset) == 1
 
 
 def test_update_does_not_blow_up_converged_loss():
@@ -246,8 +255,9 @@ def test_update_does_not_blow_up_converged_loss():
 
 
 def test_zero_epochs_disallowed():
-    dataset = ExpertDataset(np.array([[0.0]]), np.array([[0.0]]))
-    policy = MLPPolicy(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+    dataset = ExpertDataset(np.array([[0.0]]), np.array([[0.0]]), identity_standardizer(1))
+    policy = MLPPolicy(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1),
+                       identity_standardizer(1))
     with pytest.raises(ConfigurationError):
         update(policy, dataset, TrainConfig(), np.random.default_rng(0), epochs=0)
     with pytest.raises(ConfigurationError):
@@ -296,7 +306,8 @@ def test_retrain_from_scratch_flag():
 
 def test_retrain_from_scratch_rejects_epochs():
     # retraining runs bc_epochs, so an explicit epoch count would be ignored
-    dataset = ExpertDataset(np.random.default_rng(6).normal(size=(50, 2)), np.zeros((50, 1)))
+    dataset = ExpertDataset(np.random.default_rng(6).normal(size=(50, 2)), np.zeros((50, 1)),
+                            identity_standardizer(2))
     config = TrainConfig(retrain_from_scratch=True)
     warm = behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(6))
     for epochs in (1, 7):
@@ -324,8 +335,7 @@ def members_one_by_one(dataset, config, rng, members):
 def test_ensemble_equals_members_trained_one_by_one(members, n, batch_size):
     env = make_env("pusher")
     full = build_initial_dataset(env, make_expert(env), n, 5)
-    dataset = ExpertDataset(full.states[:n], full.actions[:n])
-    dataset.freeze_standardizer()
+    dataset = ExpertDataset(full.states[:n], full.actions[:n], Standardizer.fit(full.states[:n]))
     config = TrainConfig(batch_size=batch_size, bc_epochs=8)
     ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
     expected = members_one_by_one(dataset, config, ref_rng, members)
@@ -338,7 +348,7 @@ def test_ensemble_equals_members_trained_one_by_one(members, n, batch_size):
 
 
 def test_zero_members_rejected():
-    dataset = ExpertDataset(np.array([[0.0]]), np.array([[0.0]]))
+    dataset = ExpertDataset(np.array([[0.0]]), np.array([[0.0]]), identity_standardizer(1))
     with pytest.raises(ConfigurationError, match="members must be >= 1"):
         behavioral_cloning(dataset, TrainConfig(), np.random.default_rng(0), members=0)
 
@@ -348,6 +358,65 @@ def test_standardizer_shared_between_dataset_and_policy():
     dataset = build_initial_dataset(env, make_expert(env), 100, 3)
     policy = behavioral_cloning(dataset, TrainConfig(bc_epochs=1), np.random.default_rng(0))
     assert policy.standardizer is dataset.standardizer
+
+
+def test_cloning_and_updating_leave_novelty_scores_unchanged():
+    # Scores must not depend on whether a policy was cloned from the dataset:
+    # cloning that fitted a standardizer into it moved every score.
+    env = make_env("pendulum")
+    dataset = build_initial_dataset(env, make_expert(env), 50, 3)
+    queries = np.random.default_rng(4).normal(scale=2.0, size=(20, 2))
+    strategy = StrategyConfig("crsail")
+    before = score_batch(queries, dataset, strategy)
+    config = TrainConfig(bc_epochs=2, update_epochs=1)
+    policy = behavioral_cloning(dataset, config, np.random.default_rng(0))
+    assert policy.standardizer is dataset.standardizer
+    assert same_bits(score_batch(queries, dataset, strategy), before)
+    policy = update(policy, dataset, config, np.random.default_rng(1))
+    assert policy.standardizer is dataset.standardizer
+    assert same_bits(score_batch(queries, dataset, strategy), before)
+    fitted = Standardizer.fit(dataset.states)  # on the initial states, which were all of them
+    assert same_bits(dataset.standardizer.mean, fitted.mean)
+    assert same_bits(dataset.standardizer.std, fitted.std)
+
+
+@pytest.fixture(scope="module")
+def pendulum_policy():
+    """A policy cloned on pendulum states, which are 2 wide."""
+    env = make_env("pendulum")
+    dataset = build_initial_dataset(env, make_expert(env), 100, 3)
+    return behavioral_cloning(dataset, TrainConfig(bc_epochs=5), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_states_of_another_width_rejected_before_standardizing(pendulum_policy, width):
+    # A 1-wide state was broadcast against the 2-wide standardizer and got an
+    # action; a 3-wide one failed in numpy's broadcasting.
+    for shape in ((width,), (4, width)):
+        with pytest.raises(ConfigurationError) as err:
+            pendulum_policy.act(np.zeros(shape))
+        assert str(err.value) == (f"states have width {width} (shape {shape}), "
+                                  "but the policy's states have width 2")
+    with pytest.raises(ConfigurationError) as err:
+        loss_and_grad(pendulum_policy, np.zeros((4, width)), np.zeros((4, 1)))
+    assert str(err.value) == (f"states have width {width} (shape (4, {width})), "
+                              "but the policy's states have width 2")
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_standardizer_of_another_width_rejected(width):
+    scale = identity_standardizer(width)
+    with pytest.raises(ConfigurationError) as err:
+        ExpertDataset(np.zeros((3, 2)), np.zeros((3, 1)), scale)
+    assert str(err.value) == \
+        f"the standardizer has width {width}, but the dataset's states have width 2"
+    message = f"the standardizer has width {width}, but the policy's states have width 2"
+    with pytest.raises(ConfigurationError) as err:
+        MLPPolicy(np.zeros((4, 2)), np.zeros(4), np.zeros((1, 4)), np.zeros(1), scale)
+    assert str(err.value) == message
+    with pytest.raises(ConfigurationError) as err:
+        MLPPolicy.initialize(2, 1, TrainConfig(), np.random.default_rng(0), scale)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("d, a", [(2, 1), (4, 2), (6, 2)])

@@ -11,7 +11,7 @@ from crsail.exceptions import ConfigurationError
 from crsail.policy import MLPPolicy, TrainConfig, behavioral_cloning
 from crsail.strategies import READS, QuerySet, StrategyConfig, label_queries, select_queries
 from crsail.trainer import build_initial_dataset
-from helpers import same_bits
+from helpers import identity_standardizer, same_bits
 
 
 def make_trajectory(states_1d):
@@ -23,7 +23,7 @@ def make_trajectory(states_1d):
 
 def dataset_1d(values):
     values = np.asarray(values, dtype=np.float64)
-    return ExpertDataset(values[:, None], np.zeros((len(values), 1)))
+    return ExpertDataset(values[:, None], np.zeros((len(values), 1)), identity_standardizer(1))
 
 
 class ConstantExpert:
@@ -89,7 +89,7 @@ def test_crsail_requires_radius():
 
 def test_crsail_equals_fixed_threshold_at_same_cutoff():
     rng = np.random.default_rng(2)
-    ds = ExpertDataset(rng.normal(size=(50, 2)), np.zeros((50, 1)))
+    ds = ExpertDataset(rng.normal(size=(50, 2)), np.zeros((50, 1)), identity_standardizer(2))
     states = rng.normal(size=(31, 2))
     traj = Trajectory(states=states, actions=np.zeros((30, 1)), rewards=np.ones(30))
     a = select_queries(StrategyConfig("crsail", k=3), traj, ds, radius=0.4)
@@ -108,7 +108,7 @@ def test_crsail_strict_inequality_at_threshold():
 
 def test_query_count_never_exceeds_length():
     rng = np.random.default_rng(3)
-    ds = ExpertDataset(rng.normal(size=(20, 1)), np.zeros((20, 1)))
+    ds = ExpertDataset(rng.normal(size=(20, 1)), np.zeros((20, 1)), identity_standardizer(1))
     traj = make_trajectory(rng.normal(size=15))
     for cfg in (StrategyConfig("dagger"), StrategyConfig("crsail", k=1),
                 StrategyConfig("fixed-threshold", k=1)):
@@ -118,7 +118,8 @@ def test_query_count_never_exceeds_length():
 
 
 def test_ensemble_variance_zero_for_identical_members():
-    policy = MLPPolicy(np.ones((4, 1)), np.zeros(4), np.ones((1, 4)), np.zeros(1))
+    policy = MLPPolicy(np.ones((4, 1)), np.zeros(4), np.ones((1, 4)), np.zeros(1),
+                       identity_standardizer(1))
     ensemble = [policy.copy() for _ in range(5)]
     traj = make_trajectory([0.0, 0.5, 1.0])
     cfg = StrategyConfig("ensemble-variance", tau_doubt=0.0)
@@ -127,8 +128,10 @@ def test_ensemble_variance_zero_for_identical_members():
 
 
 def test_ensemble_variance_queries_where_members_disagree():
-    agree = MLPPolicy(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), np.zeros(1))
-    disagree = MLPPolicy(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), np.ones(1))
+    agree = MLPPolicy(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), np.zeros(1),
+                      identity_standardizer(1))
+    disagree = MLPPolicy(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), np.ones(1),
+                         identity_standardizer(1))
     traj = make_trajectory([0.0, 1.0, 2.0])
     cfg = StrategyConfig("ensemble-variance", tau_doubt=0.1)
     qs = select_queries(cfg, traj, dataset_1d([0.0]), ensemble=[agree, disagree])
