@@ -6,12 +6,10 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import fields, replace
 
-from crsail.exceptions import ConfigurationError, check_value
+from crsail.exceptions import ConfigurationError
 from crsail.harness import (
     ExperimentConfig,
-    _convert,
     check_axis,
     emit_plot_data,
     format_summary_text,
@@ -20,7 +18,7 @@ from crsail.harness import (
     summarize,
     write_summary_csv,
 )
-from crsail.strategies import READS, StrategyConfig
+from crsail.strategies import READS
 
 OUTPUT_ROOT_ENV = "CRSAIL_OUTPUT_ROOT"
 
@@ -55,20 +53,18 @@ def _cmd_sweep(args) -> int:
     name, raw = chosen[0]
     if name not in READS[config.strategy]:
         raise ConfigurationError(f"axis {name}: strategy {config.strategy} does not read {name}")
-    kind = next(f.type for f in fields(StrategyConfig) if f.name == name)
     base_outdir = config.output_dir
     given = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    values = [_convert(val) for val in given]
-    for value in values:  # its type here; its bound when its config is built below
-        check_value(f"axis {name}", kind, value)
-    check_axis(f"axis {name}", values)
-    points = []  # (value as given, its config); every point is checked before any runs
-    for val, value in zip(given, values):
-        points.append((val, replace(config, output_dir=os.path.join(base_outdir, f"{name}_{val}"),
-                                    strategy_params={**config.strategy_params, name: value})))
+    # (value as given, its config): each value is read as `--set` reads it,
+    # and every point is checked before any runs
+    points = [(val, ExperimentConfig.from_file(args.config,
+                                               [*(args.set or []), f"strategy.{name}={val}"]))
+              for val in given]
+    check_axis(f"axis {name}", [sub.strategy_params[name] for _, sub in points])
     any_failed = False
     total = 0
     for val, sub in points:
+        sub.output_dir = os.path.join(base_outdir, f"{name}_{val}")
         if args.print_config:
             print(sub.resolved_text())
             continue

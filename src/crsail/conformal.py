@@ -46,8 +46,12 @@ def quantile_index(n: int, alpha: float) -> int:
 
 
 def conformal_quantile(scores, alpha: float) -> CalibratedThreshold:
-    """The m-th smallest calibration score; always an element of the list."""
+    """The m-th smallest calibration score; always an element of the list,
+    which must be a non-empty 1-D array of finite numbers."""
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or not np.isfinite(scores).all():
+        raise ConfigurationError("scores must be a 1-D array of finite numbers, got shape "
+                                 f"{scores.shape} with {np.sum(~np.isfinite(scores))} non-finite")
     n = len(scores)
     if n == 0:
         raise ConfigurationError("score list must be non-empty")
@@ -65,9 +69,5 @@ def calibrate_radius(env, policy, dataset: ExpertDataset, strategy: StrategyConf
                      m_cal: int, seed) -> CalibratedThreshold:
     """End-to-end radius calibration against the initial expert dataset, at
     the strategy's K, backend and alpha."""
-    if len(dataset) < strategy.k:
-        raise ConfigurationError(
-            f"initial dataset of size {len(dataset)} is smaller than K={strategy.k}"
-        )
     scores = score_batch(collect_calibration(env, policy, m_cal, seed), dataset, strategy)
     return conformal_quantile(scores, strategy.alpha)

@@ -26,8 +26,18 @@ class Standardizer:
         std = np.where(std < STD_FLOOR, 1.0, std)
         return cls(mean=mean, std=std)
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
+    def transform(self, x) -> np.ndarray:
+        """`x`, one state (d,) or a stack (n, d), in standardized coordinates.
+
+        Every policy input and novelty query passes through here, so this is
+        where a state of the wrong width or rank is rejected.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        width = len(self.mean)
+        if x.ndim not in (1, 2) or x.shape[-1] != width:
+            raise ConfigurationError(f"states have shape {x.shape}, but the standardizer takes "
+                                     f"one state ({width},) or a stack (n, {width})")
+        return (x - self.mean) / self.std
 
     def check_width(self, width: int, owner: str) -> None:
         """Raise a ConfigurationError naming both widths unless the map is `width` wide."""

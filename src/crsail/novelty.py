@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from crsail.dataset import ExpertDataset
-from crsail.exceptions import ConfigurationError, InsufficientDataError
+from crsail.exceptions import InsufficientDataError
 
 if TYPE_CHECKING:
     from crsail.strategies import StrategyConfig
@@ -29,9 +29,10 @@ def score_batch(states, dataset: ExpertDataset, config: StrategyConfig) -> np.nd
     """Distance from each state to its K-th nearest neighbor in the dataset.
 
     `states` is one state per row, each as wide as the dataset's states (a
-    flat array is one state). An empty batch gives an empty result. The
-    dataset's points are projected afresh on every call, so the scores always
-    reflect its current contents.
+    flat array is one state; the dataset's standardizer rejects any other
+    shape). An empty batch gives an empty result. The dataset's points are
+    projected afresh on every call, so the scores always reflect its current
+    contents.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.size == 0:
@@ -39,11 +40,8 @@ def score_batch(states, dataset: ExpertDataset, config: StrategyConfig) -> np.nd
     k = config.k
     if k > len(dataset):
         raise InsufficientDataError(f"K={k} exceeds dataset size {len(dataset)}")
-    q = np.atleast_2d(states)
-    if q.ndim != 2 or q.shape[1] != dataset.state_dim:
-        raise ConfigurationError(f"states have width {q.shape[-1]} (shape {states.shape}), but "
-                                 f"the dataset's states have width {dataset.state_dim}")
-    points, q = dataset.standardizer.transform(dataset.states), dataset.standardizer.transform(q)
+    q = np.atleast_2d(dataset.standardizer.transform(states))
+    points = dataset.standardizer.transform(dataset.states)
     if config.backend == "kdtree":
         from scipy.spatial import cKDTree
 

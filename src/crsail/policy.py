@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crsail.dataset import ExpertDataset, Standardizer
+from crsail.dataset import ExpertDataset, Standardizer, _checked_pairs
 from crsail.exceptions import ConfigurationError, bounded, check_fields
 
 HIDDEN = 64  # hidden-layer width
@@ -65,13 +65,6 @@ class MLPPolicy:
     def state_dim(self) -> int:
         return self.w1.shape[1]
 
-    def _check_states(self, states: np.ndarray) -> None:
-        """Raise a ConfigurationError naming both widths unless each state is state_dim wide."""
-        if states.shape[-1:] != (self.state_dim,):
-            raise ConfigurationError(
-                f"states have width {states.shape[-1] if states.ndim else 0} (shape "
-                f"{states.shape}), but the policy's states have width {self.state_dim}")
-
     def act(self, state) -> np.ndarray:
         """The action for one state (d,), or one per row of a stack (n, d).
 
@@ -79,8 +72,6 @@ class MLPPolicy:
         a stack gets the same bits as the row alone, which one (n, d) matmul
         over the batch does not promise.
         """
-        state = np.asarray(state, dtype=np.float64)
-        self._check_states(state)
         z = self.standardizer.transform(state)
         hidden = np.tanh(z[..., None, :] @ self.w1.T + self.b1)
         return (hidden @ self.w2.T + self.b2)[..., 0, :]
@@ -152,11 +143,9 @@ def loss_and_grad(policy: MLPPolicy, states: np.ndarray, labels: np.ndarray):
 
     Returns (loss, grads) with grads keyed 'w1', 'b1', 'w2', 'b2'.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    labels = np.atleast_2d(np.asarray(labels, dtype=np.float64))
+    states, labels = _checked_pairs(states, labels, 0, (policy.state_dim, len(policy.b2)))
     if len(states) == 0:
         raise ConfigurationError("batch must be non-empty")
-    policy._check_states(states)
     err, *grads = _gradient(policy.params, policy.standardizer.transform(states), labels)
     return float((err**2).sum() / len(states)), dict(zip(PARAMS, grads))
 

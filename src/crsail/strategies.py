@@ -35,7 +35,10 @@ class QuerySet:
     scores: np.ndarray | None = None
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        indices = np.asarray(self.indices)
+        if indices.size and not np.issubdtype(indices.dtype, np.integer):
+            raise ConfigurationError(f"query indices must be integers, got dtype {indices.dtype}")
+        self.indices = indices.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -192,8 +192,6 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
     training iteration it belongs to; a failing evaluation row notes the
     iteration whose policy it evaluated.
     """
-    if strategy.kind == "crsail" and threshold is None:
-        raise ConfigurationError("crsail strategy requires a calibrated threshold")
     rollout_ss, eval_ss, update_ss, strat_ss = seed_sequence(seed).spawn(4)
     update_rng = np.random.default_rng(update_ss)
     strat_rng = np.random.default_rng(strat_ss)

@@ -9,7 +9,8 @@ from crsail.conformal import (
 )
 from crsail.core import evaluate_policy, rollout
 from crsail.envs import make_env, make_expert
-from crsail.exceptions import ConfigurationError, InfeasibleCalibrationError
+from crsail.exceptions import (ConfigurationError, InfeasibleCalibrationError,
+                               InsufficientDataError)
 from crsail.novelty import score_batch
 from crsail.policy import TrainConfig, behavioral_cloning
 from crsail.strategies import StrategyConfig
@@ -44,6 +45,18 @@ def test_quantile_constant_scores():
 def test_quantile_infeasible_alpha():
     with pytest.raises(InfeasibleCalibrationError):
         conformal_quantile(np.arange(10.0), alpha=0.001)
+
+
+@pytest.mark.parametrize("scores, problem", [
+    ([1.0, np.nan], "shape (2,) with 1 non-finite"),  # a NaN radius never queries
+    ([2.0, np.inf, -np.inf], "shape (3,) with 2 non-finite"),
+    ([[1.0, 2.0], [3.0, 4.0]], "shape (2, 2) with 0 non-finite"),
+    (1.0, "shape () with 0 non-finite"),
+])
+def test_quantile_rejects_scores_that_are_not_finite_1d(scores, problem):
+    with pytest.raises(ConfigurationError) as err:
+        conformal_quantile(scores, 0.34)
+    assert str(err.value) == f"scores must be a 1-D array of finite numbers, got {problem}"
 
 
 def test_quantile_alpha_domain():
@@ -135,7 +148,7 @@ def test_calibrate_radius_requires_dataset_at_least_k():
     env = make_env("pendulum")
     dataset = build_initial_dataset(env, make_expert(env), 3, 2)
     policy = ZeroPolicy(1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InsufficientDataError, match=f"K=1000 exceeds dataset size {len(dataset)}"):
         calibrate_radius(env, policy, dataset, crsail(k=1000, alpha=0.9), 1, 0)
 
 

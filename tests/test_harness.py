@@ -386,9 +386,10 @@ def test_cli_sweep_runs_each_value_into_its_subdirectory(config_path, capsys):
 
 
 @pytest.mark.parametrize("axis, values, message", [
-    ("--K", "3,x", "axis k: expected an integer, got 'x'"),
-    ("--alpha", "0.5,high", "axis alpha: expected a number, got 'high'"),
-    ("--alpha", "0.5,1.5", "alpha must lie in (0, 1), got 1.5"),
+    ("--K", "3,x", "strategy.k: expected an integer, got 'x'"),
+    ("--K", "3,2.0", "strategy.k: expected an integer, got 2.0"),
+    ("--alpha", "0.5,high", "strategy.alpha: expected a number, got 'high'"),
+    ("--alpha", "0.5,1.5", "strategy.alpha must lie in (0, 1), got 1.5"),
     ("--K", "3,5,3", "axis k lists 3 more than once"),
     ("--alpha", "0.5,0.50", "axis alpha lists 0.5 more than once"),
 ])
@@ -400,6 +401,11 @@ def test_cli_sweep_checks_every_value_before_running(config_path, capsys, axis, 
     assert captured.out == ""
     assert captured.err == f"crsail sweep: {message}\n"
     assert not os.path.exists(ExperimentConfig.from_file(config_path).output_dir)
+    if message.startswith("strategy."):  # a bad value: `run --set` reads it the same way
+        bad = f"strategy.{axis[2:].lower()}={values.split(',')[-1]}"
+        assert main(["run", config_path, "--set", bad, *crsail]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"crsail run: {message}\n")
 
 
 @pytest.mark.parametrize("strategy, axis", [

@@ -71,9 +71,8 @@ def test_states_of_another_width_rejected(backend):
     for states in ([[2.0, 100.0]], np.array([2.0, 3.0]), np.zeros((2, 1, 1))):
         with pytest.raises(ConfigurationError) as err:
             score_batch(states, ds, knn(1, backend))
-        width = np.shape(states)[-1]
-        assert str(err.value) == (f"states have width {width} (shape {np.shape(states)}), "
-                                  "but the dataset's states have width 1")
+        assert str(err.value) == (f"states have shape {np.shape(states)}, but the standardizer "
+                                  "takes one state (1,) or a stack (n, 1)")
     assert score_batch(np.array([2.0]), ds, knn(1, backend))[0] == 1.0  # one flat state
 
 

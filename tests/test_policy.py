@@ -388,19 +388,32 @@ def pendulum_policy():
     return behavioral_cloning(dataset, TrainConfig(bc_epochs=5), np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("width", [1, 3])
-def test_states_of_another_width_rejected_before_standardizing(pendulum_policy, width):
+@pytest.mark.parametrize("shape", [(1,), (3,), (4, 1), (4, 3), (2, 4, 2), ()], ids=str)
+def test_states_of_another_width_rejected_before_standardizing(pendulum_policy, shape):
     # A 1-wide state was broadcast against the 2-wide standardizer and got an
     # action; a 3-wide one failed in numpy's broadcasting.
-    for shape in ((width,), (4, width)):
-        with pytest.raises(ConfigurationError) as err:
-            pendulum_policy.act(np.zeros(shape))
-        assert str(err.value) == (f"states have width {width} (shape {shape}), "
-                                  "but the policy's states have width 2")
     with pytest.raises(ConfigurationError) as err:
-        loss_and_grad(pendulum_policy, np.zeros((4, width)), np.zeros((4, 1)))
-    assert str(err.value) == (f"states have width {width} (shape (4, {width})), "
-                              "but the policy's states have width 2")
+        pendulum_policy.act(np.zeros(shape))
+    assert str(err.value) == (f"states have shape {shape}, but the standardizer takes "
+                              "one state (2,) or a stack (n, 2)")
+    if len(shape) > 1:
+        with pytest.raises(ConfigurationError) as err:
+            loss_and_grad(pendulum_policy, np.zeros(shape), np.zeros((shape[0], 1)))
+        assert str(err.value).startswith(f"pairs have mismatched dimensions: states {shape}")
+
+
+def test_labels_of_another_shape_rejected():
+    # (4, 1) labels were broadcast against a 2-action output into a loss;
+    # 3 labels for 4 states failed in numpy's broadcasting.
+    policy = MLPPolicy(np.ones((4, 2)), np.ones(4), np.ones((2, 4)), np.ones(2),
+                       identity_standardizer(2))
+    with pytest.raises(ConfigurationError) as err:
+        loss_and_grad(policy, np.ones((4, 2)), np.ones((4, 1)))
+    assert str(err.value) == ("pairs have mismatched dimensions: states (4, 2), actions (4, 1), "
+                              "expected widths (2, 2)")
+    with pytest.raises(ConfigurationError) as err:
+        loss_and_grad(policy, np.ones((4, 2)), np.ones((3, 2)))
+    assert str(err.value) == "state/action count mismatch: 4 vs 3"
 
 
 @pytest.mark.parametrize("width", [1, 3])

@@ -83,7 +83,7 @@ def test_fixed_threshold_hand_example():
 
 def test_crsail_requires_radius():
     traj = make_trajectory([0.0, 1.0])
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="crsail strategy requires a calibrated radius"):
         select_queries(StrategyConfig("crsail"), traj, dataset_1d([0.0]))
 
 
@@ -217,6 +217,17 @@ def test_label_queries_multiset_semantics():
     states, actions = label_queries(ConstantExpert(2.0), traj, QuerySet(np.array([0, 1])))
     assert states.shape == (2, 1)
     assert np.array_equal(actions, [[2.0], [2.0]])
+
+
+def test_query_set_rejects_indices_that_are_not_integers():
+    # They were truncated: [0.5, 1.9] became [0, 1].
+    for indices in ([0.5, 1.9], np.array([True, False])):
+        with pytest.raises(ConfigurationError) as err:
+            QuerySet(indices=indices)
+        assert str(err.value) == \
+            f"query indices must be integers, got dtype {np.asarray(indices).dtype}"
+    assert QuerySet(indices=[]).indices.dtype == np.int64  # no query is legal
+    assert same_bits(QuerySet(indices=np.array([3, 1], dtype=np.int32)).indices, [3, 1])
 
 
 def test_label_queries_empty_and_out_of_range():

@@ -199,7 +199,7 @@ def test_crsail_without_threshold_rejected():
     env = make_env("pendulum")
     dataset = build_initial_dataset(env, make_expert(env), 50, 0)
     policy = clone(dataset)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="crsail strategy requires a calibrated radius"):
         train(env, make_expert(env), dataset, policy, StrategyConfig("crsail"),
               Budget(max_steps=10), FAST, 0)
 
