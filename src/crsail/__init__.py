@@ -41,7 +41,6 @@ from crsail.trainer import (
     EpisodeMetrics,
     RunRecord,
     build_initial_dataset,
-    queries_to_expert,
     train,
 )
 

@@ -46,13 +46,13 @@ class Standardizer:
                                      f"but {owner} states have width {width}")
 
 
-def _checked_pairs(states, actions, first_row: int, dims=None):
+def _checked_pairs(states, actions, first_row: int, dims=None, whose: str = "the dataset"):
     """`states` and `actions` as 2-D float arrays, checked as they enter a dataset.
 
     The counts must match, each array must have one row per pair and, when
     `dims` (state_dim, action_dim) is given, those widths, and every label
-    must be finite; a bad label's message names its row, the pairs starting
-    at dataset row `first_row`.
+    must be finite; a bad label's message names its row in `whose`, the pairs
+    starting at row `first_row`.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
@@ -68,7 +68,7 @@ def _checked_pairs(states, actions, first_row: int, dims=None):
         j = bad[0]
         raise NumericalFailureError(
             f"non-finite expert label {actions[j]} for state {states[j]} "
-            f"(row {first_row + j} of the dataset)")
+            f"(row {first_row + j} of {whose})")
     return states, actions
 
 

@@ -210,7 +210,7 @@ class ExperimentConfig:
     def snapshot(self, m: int, seed: int) -> dict:
         """The per-run part of the config, as embedded in its run record."""
         snap = {k: v for k, v in asdict(self).items() if k not in GRID_ONLY}
-        snap = {**snap, "alpha": self.strategy_params["alpha"], "m": m, "seed": seed}
+        snap = {**snap, "m": m, "seed": seed}
         # as the record will hold it: a numpy number or array given becomes a Python one
         return json.loads(json.dumps(snap, default=lambda value: value.tolist()))
 
@@ -316,14 +316,42 @@ def _mean_std(values) -> tuple[float, float]:
     return mean, std
 
 
+def _first_difference(a: dict, b: dict):
+    """(key, a's value, b's value) for the first key whose values differ, a
+    section's key written `section.key`; None if the configs agree. A top-level
+    key that only one config holds (a removed one, in an old record) is
+    skipped; in a section such as env_overrides, an absent key (None) differs
+    from a given one."""
+    for key in [k for k in a if k in b]:
+        if isinstance(a[key], dict) and isinstance(b[key], dict):
+            for sub in {**a[key], **b[key]}:
+                if a[key].get(sub) != b[key].get(sub):
+                    return f"{key}.{sub}", a[key].get(sub), b[key].get(sub)
+        elif a[key] != b[key]:
+            return key, a[key], b[key]
+    return None
+
+
 def _groups(records: list[RunRecord]) -> list[tuple[tuple, list[RunRecord]]]:
-    """Records grouped by (method, M), in sorted order."""
+    """Records grouped by (method, M), in sorted order.
+
+    The runs of a group must differ only in seed: a group whose configs differ
+    (say, two values of a sweep) is a ConfigurationError, not one averaged row.
+    """
     if not records:
         raise ConfigurationError("no run records")
     groups: dict[tuple, list[RunRecord]] = {}
     for rec in records:
         key = (rec.config.get("strategy", "?"), rec.config.get("m", 0))
         groups.setdefault(key, []).append(rec)
+    for (method, m), recs in groups.items():
+        first = {k: v for k, v in recs[0].config.items() if k != "seed"}
+        for rec in recs[1:]:
+            found = _first_difference(first, rec.config)
+            if found:
+                raise ConfigurationError(
+                    "runs of {} M={} differ in {}: {!r} vs {!r}; read each value's "
+                    "directory on its own".format(method, m, *found))
     return sorted(groups.items())
 
 

@@ -143,7 +143,8 @@ def loss_and_grad(policy: MLPPolicy, states: np.ndarray, labels: np.ndarray):
 
     Returns (loss, grads) with grads keyed 'w1', 'b1', 'w2', 'b2'.
     """
-    states, labels = _checked_pairs(states, labels, 0, (policy.state_dim, len(policy.b2)))
+    states, labels = _checked_pairs(states, labels, 0, (policy.state_dim, len(policy.b2)),
+                                    "the batch")
     if len(states) == 0:
         raise ConfigurationError("batch must be non-empty")
     err, *grads = _gradient(policy.params, policy.standardizer.transform(states), labels)

@@ -106,36 +106,33 @@ class RunRecord:
     threshold: dict | None = None
     expert_mean: float | None = None
     episodes: list[EpisodeMetrics] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
 
-    def compute_summary(self) -> dict:
-        total_queries = sum(e.n_queries for e in self.episodes)
-        total_steps = sum(e.length for e in self.episodes)
-        best = max((e.eval_mean for e in self.episodes), default=None)
-        qte = None if self.expert_mean is None else queries_to_expert(self, self.expert_mean)
+    @property
+    def summary(self) -> dict:
+        """The run's totals, derived from its episodes. Queries to expert are
+        those of the first episode whose `converged_flag` is set."""
+        qte = next((e.queries_cum for e in self.episodes if e.converged_flag), None)
         return {
             "episodes": len(self.episodes),
-            "total_queries": total_queries,
-            "total_steps": total_steps,
-            "best_eval_mean": best,
+            "total_queries": sum(e.n_queries for e in self.episodes),
+            "total_steps": sum(e.length for e in self.episodes),
+            "best_eval_mean": max((e.eval_mean for e in self.episodes), default=None),
             "converged": qte is not None,
             "queries_to_expert": qte,
             "expert_mean": self.expert_mean,
         }
 
-    def finalize(self) -> "RunRecord":
-        self.summary = self.compute_summary()
-        return self
-
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "summary": self.summary}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
+        data = {**data}  # a TypeError unless `data` is a mapping
+        stored = data.pop("summary", None)
         rec = cls(**{**data, "episodes": [EpisodeMetrics(**e) for e in data["episodes"]]})
         if not isinstance(rec.config, dict):
             raise ConfigurationError(f"config must be a dict, got {type(rec.config).__name__}")
-        if rec.summary != rec.compute_summary():
+        if stored != rec.summary:
             raise ConfigurationError("stored summary does not match the episode series")
         return rec
 
@@ -247,12 +244,4 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
     if len(dataset) != initial_size + queries:
         raise InvariantError(f"dataset holds {len(dataset)} pairs, expected "
                              f"{initial_size} initial + {queries} queried")
-    return policy, record.finalize()
-
-
-def queries_to_expert(record: RunRecord, expert_mean: float) -> int | None:
-    """Cumulative queries when the eval mean first reaches expert level."""
-    for e in record.episodes:
-        if is_expert_level(e.eval_mean, expert_mean):
-            return e.queries_cum
-    return None
+    return policy, record

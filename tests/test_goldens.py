@@ -81,17 +81,22 @@ def test_check_reports_each_moved_field():
     assert compare(expected, actual)[2].startswith("  record layout moved")
 
 
-def test_records_with_the_removed_recalibrate_every_still_load(tmp_path):
-    # run directories written while [conformal] had recalibrate_every hold it in each config
-    data = copy.deepcopy(GOLDEN["pendulum-crsail"]["record"])
-    data["config"]["recalibrate_every"] = 0
-    for episode in data["episodes"]:
+@pytest.mark.parametrize("key, value", [("recalibrate_every", 0), ("alpha", 0.93)])
+def test_records_with_a_removed_config_key_still_load(tmp_path, key, value):
+    # run directories written while the snapshot held `key` hold it in each config:
+    # [conformal] had recalibrate_every, and `alpha` repeated strategy_params.alpha
+    current = copy.deepcopy(GOLDEN["pendulum-crsail"]["record"])
+    for episode in current["episodes"]:
         episode["wall_time"] = 0.0
-    (tmp_path / "crsail_M200_seed0.json").write_text(json.dumps(data))
+    old = copy.deepcopy(current)
+    old["config"][key] = value
+    current["config"]["seed"] = 1  # a run of the same row, written without the key
+    (tmp_path / "crsail_M200_seed0.json").write_text(json.dumps(old))
+    (tmp_path / "crsail_M200_seed1.json").write_text(json.dumps(current))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         records = load_records(tmp_path)
-    assert [r.to_dict() for r in records] == [data]
-    [row] = summarize(records)
-    assert (row["method"], row["m"], row["runs"]) == ("crsail", 200, 1)
-    assert row["total_queries_mean"] == data["summary"]["total_queries"]
+    assert [r.to_dict() for r in records] == [old, current]
+    [row] = summarize(records)  # a key only one config holds does not split the row
+    assert (row["method"], row["m"], row["runs"]) == ("crsail", 200, 2)
+    assert row["total_queries_mean"] == old["summary"]["total_queries"]

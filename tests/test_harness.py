@@ -24,6 +24,7 @@ from crsail.harness import (
 )
 from crsail.policy import TrainConfig
 from crsail.strategies import StrategyConfig
+from crsail.trainer import RunRecord
 
 MINIMAL = """\
 [experiment]
@@ -341,6 +342,28 @@ def test_summarize_empty_rejected():
         summarize([])
 
 
+@pytest.mark.parametrize("other, difference", [
+    ({"seed": 1}, None),
+    ({"alpha": 0.93}, None),  # a key only an old record holds
+    ({"eval_episodes": 5}, "eval_episodes: 20 vs 5"),
+    ({"strategy_params": {"alpha": 0.5, "k": 5}}, "strategy_params.alpha: 0.93 vs 0.5"),
+    ({"env_overrides": {"dt": 0.1}}, "env_overrides.dt: None vs 0.1"),
+], ids=["seed", "removed-key", "top-level", "strategy", "env-override"])
+def test_summary_rows_hold_runs_that_differ_only_in_seed(other, difference):
+    config = {"env": "pendulum", "strategy": "crsail", "eval_episodes": 20,
+              "env_overrides": {}, "strategy_params": {"alpha": 0.93, "k": 5},
+              "m": 200, "seed": 0}
+    records = [RunRecord(config=config), RunRecord(config={**config, **other})]
+    if difference is None:
+        assert [row["runs"] for row in summarize(records)] == [2]
+        return
+    for read in (summarize, lambda recs: emit_plot_data(recs, "unused")):
+        with pytest.raises(ConfigurationError) as err:
+            read(records)
+        assert str(err.value) == (f"runs of crsail M=200 differ in {difference}; "
+                                  "read each value's directory on its own")
+
+
 def test_cli_print_config(config_path, capsys):
     assert main(["run", config_path, "--print-config"]) == 0
     out = capsys.readouterr().out
@@ -379,10 +402,16 @@ def test_cli_sweep_runs_each_value_into_its_subdirectory(config_path, capsys):
         assert os.path.exists(os.path.join(outdir, f"k_{k}",
                                            run_basename("fixed-threshold", 100, 0) + ".json"))
     capsys.readouterr()
-    # nested sweep outputs are picked up by summarize: one (method, M) row of two runs
-    assert main(["summarize", outdir]) == 0
-    rows = capsys.readouterr().out.splitlines()[2:]
-    assert [row.split()[:3] for row in rows] == [["fixed-threshold", "100", "2"]]
+    # the parent directory holds both values' runs, which share no (method, M) row
+    for command in ("summarize", "plotdata"):
+        assert main([command, outdir]) == 2
+        assert capsys.readouterr().err == (
+            f"crsail {command}: runs of fixed-threshold M=100 differ in strategy_params.k: "
+            "3 vs 5; read each value's directory on its own\n")
+    for k in (3, 5):  # each value's directory is one row of one run
+        assert main(["summarize", os.path.join(outdir, f"k_{k}")]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[:3] for row in rows] == [["fixed-threshold", "100", "1"]]
 
 
 @pytest.mark.parametrize("axis, values, message", [
@@ -650,7 +679,10 @@ def test_numpy_config_values_save_the_record_of_plain_ones(tmp_path, numpy_kwarg
     lambda record: record.pop("summary"),
     lambda record: record.update(config=None),
     lambda record: record.update(config=["not", "a", "dict"]),
-], ids=["empty-summary", "no-summary", "null-config", "list-config"])
+    # the flag alone says whether an episode reached expert level
+    lambda record: record["episodes"][0].update(
+        converged_flag=1 - record["episodes"][0]["converged_flag"]),
+], ids=["empty-summary", "no-summary", "null-config", "list-config", "flipped-flag"])
 def test_record_without_summary_or_dict_config_is_skipped(config_path, capsys, edit):
     assert main(["run", config_path]) == 0
     outdir = ExperimentConfig.from_file(config_path).output_dir

@@ -6,7 +6,7 @@ import pytest
 from crsail.core import rollout
 from crsail.dataset import ExpertDataset, Standardizer
 from crsail.envs import make_env, make_expert
-from crsail.exceptions import ConfigurationError
+from crsail.exceptions import ConfigurationError, NumericalFailureError
 from crsail.policy import (
     HIDDEN,
     PARAMS,
@@ -414,6 +414,11 @@ def test_labels_of_another_shape_rejected():
     with pytest.raises(ConfigurationError) as err:
         loss_and_grad(policy, np.ones((4, 2)), np.ones((3, 2)))
     assert str(err.value) == "state/action count mismatch: 4 vs 3"
+    # a bad label names its row of the batch; no dataset is involved
+    with pytest.raises(NumericalFailureError) as err:
+        loss_and_grad(policy, np.ones((3, 2)), [[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0]])
+    assert str(err.value) == \
+        "non-finite expert label [nan  0.] for state [1. 1.] (row 1 of the batch)"
 
 
 @pytest.mark.parametrize("width", [1, 3])

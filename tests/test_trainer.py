@@ -19,7 +19,6 @@ from crsail.trainer import (
     RunRecord,
     build_initial_dataset,
     is_expert_level,
-    queries_to_expert,
     train,
 )
 from helpers import NoisyExpert, ZeroPolicy, params_equal, same_bits
@@ -247,13 +246,11 @@ def test_run_record_summary_and_queries_to_expert():
         EpisodeMetrics(1, 200, 80, 400, 230, 195.0, 2.0, 0.1, 1),
         EpisodeMetrics(2, 200, 10, 600, 240, 199.0, 1.0, 0.1, 1),
     ]
-    record = RunRecord(config={}, episodes=eps, expert_mean=200.0).finalize()
+    record = RunRecord(config={}, episodes=eps, expert_mean=200.0)
     assert record.summary["converged"] is True
     assert record.summary["queries_to_expert"] == 230
     assert record.summary["total_queries"] == 240
     assert record.summary["best_eval_mean"] == 199.0
-    assert queries_to_expert(record, 200.0) == 230
-    assert queries_to_expert(record, 500.0) is None
 
 
 def test_run_record_json_round_trip(tmp_path):
