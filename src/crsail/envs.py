@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from crsail.exceptions import ConfigurationError, FieldError, bounded, check_fields
+from crsail.exceptions import ConfigurationError, bounded, check_fields
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -33,12 +33,11 @@ def _cap_norm(v: np.ndarray, cap: float) -> np.ndarray:
 
 @dataclass(kw_only=True)
 class EnvParams:
-    """What every environment's params hold: Euler step, horizon, fixed start;
-    a subclass that gives `dt` or `t_max` a default repeats its bound."""
+    """What every environment's params hold: Euler step and horizon; a subclass
+    that gives `dt` or `t_max` a default repeats its bound."""
 
     dt: float = bounded(gt=0)
     t_max: int = bounded(ge=1)
-    fixed_init: np.ndarray | None = None  # checked by the env, which knows its state_dim
 
     def __post_init__(self):
         check_fields(self)
@@ -49,30 +48,18 @@ class Env:
 
     A subclass names its `Params` and `Expert` classes and, in `init_ranges`,
     the params field that bounds each initial-state coordinate: `reset` draws
-    coordinate j uniformly from [-w_j, w_j], unless `fixed_init` is set.
+    coordinate j uniformly from [-w_j, w_j].
     """
 
     def __init__(self, params: EnvParams | None = None):
         self.params = params or self.Params()
-        given = self.params.fixed_init
-        if given is not None:
-            try:
-                init = np.asarray(given, dtype=np.float64)
-            except (TypeError, ValueError):
-                init = None
-            if init is None or init.shape != (self.state_dim,) or not np.isfinite(init).all():
-                raise FieldError("fixed_init", f": expected {self.state_dim} finite numbers, "
-                                 f"got {given!r}", type(self.params))
 
     @property
     def t_max(self) -> int:
         return self.params.t_max
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
-        p = self.params
-        if p.fixed_init is not None:
-            return np.asarray(p.fixed_init, dtype=np.float64).copy()
-        w = np.array([getattr(p, name) for name in self.init_ranges])
+        w = np.array([getattr(self.params, name) for name in self.init_ranges])
         return rng.uniform(-w, w)
 
 

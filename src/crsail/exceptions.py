@@ -11,12 +11,8 @@ class ConfigurationError(ValueError):
 
 
 class FieldError(ConfigurationError):
-    """A value breaks its config field's type, finiteness or bound; the message is
-    `name` then `problem`, and `owner` is the config class the field is in."""
-
-    def __init__(self, name: str, problem: str, owner=None):
-        super().__init__(f"{name}{problem}")
-        self.name, self.problem, self.owner = name, problem, owner
+    """A value breaks its config field's type, finiteness or bound; the message
+    starts with the field's name."""
 
 
 class NumericalFailureError(RuntimeError):
@@ -74,7 +70,7 @@ def _bound_text(bound: dict) -> str:
     return f"lie in {'(' if 'gt' in bound else '['}{low}, {high}{')' if 'lt' in bound else ']'}"
 
 
-def check_value(name: str, kind: str, value, bound=None, owner=None) -> None:
+def check_value(name: str, kind: str, value, bound=None) -> None:
     """Check `value` against field type `kind` (a `| None` type also takes None, numpy
     numbers count, a type not in FIELD_TYPES is not checked), then a float's finiteness
     (a NaN passes every comparison), then `bound`; raise a FieldError naming `name`."""
@@ -83,15 +79,17 @@ def check_value(name: str, kind: str, value, bound=None, owner=None) -> None:
         return
     accepts, expected = FIELD_TYPES[plain]
     if not accepts(value):
-        raise FieldError(name, f": expected {expected}, got {value!r}", owner)
+        raise FieldError(f"{name}: expected {expected}, got {value!r}")
     for item in value if plain == "list[int]" else [value]:
         if plain == "float" and not math.isfinite(item):
-            raise FieldError(name, f" must be finite, got {item!r}", owner)
+            raise FieldError(f"{name} must be finite, got {item!r}")
         if bound and not all(_BOUNDS[op][0](item, limit) for op, limit in bound.items()):
-            raise FieldError(name, f" must {_bound_text(bound)}, got {item!r}", owner)
+            raise FieldError(f"{name} must {_bound_text(bound)}, got {item!r}")
 
 
 def check_fields(config) -> None:
-    """`check_value` on each field of the dataclass `config`, by its declared type and bound."""
+    """`check_value` on each field of the dataclass `config`, by its declared type and
+    bound; a field that declares its INI section is named `section.key`."""
     for f in fields(config):
-        check_value(f.name, f.type, getattr(config, f.name), f.metadata.get("bound"), type(config))
+        name = f"{f.metadata['section']}.{f.name}" if "section" in f.metadata else f.name
+        check_value(name, f.type, getattr(config, f.name), f.metadata.get("bound"))

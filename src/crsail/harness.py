@@ -4,9 +4,10 @@ Config files are flat INI-style key=value text with one section per module.
 The sections, keys and defaults are the dataclass fields: `ExperimentConfig`
 for [experiment], [conformal] and [budget]; `StrategyConfig` (all but `kind`)
 for [strategy]; `TrainConfig` for [train]; the env kind's params for [env].
-Each value is read by its field's type and judged by the field's own check.
-Every run embeds its fully resolved config snapshot, so any output is
-reproducible from its own header.
+Each value is read by its field's type and judged by the field's own check; a
+bad value or unknown key is named `section.key`. Every section is stored
+resolved against its defaults, and every run embeds that config snapshot, so
+any output is reproducible from its own header.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from crsail.conformal import calibrate_radius
 from crsail.core import evaluate_policy
-from crsail.envs import KINDS, EnvParams, make_env, make_expert
+from crsail.envs import KINDS, EnvParams, make_expert
 from crsail.exceptions import ConfigurationError, FieldError, bounded, check_fields
 from crsail.policy import TrainConfig, behavioral_cloning
 from crsail.strategies import StrategyConfig
@@ -47,7 +48,7 @@ def _convert(text: str):
 
 
 def parse_value(kind: str, text: str):
-    """A config key's `text` read by its field's type `kind`: a list or array is
+    """A config key's `text` read by its field's type `kind`: a list is
     comma-separated, and a number is read as `_convert` reads it, so an integer
     literal in a float field stays an int; the field's own check judges it."""
     text = text.strip()
@@ -55,13 +56,13 @@ def parse_value(kind: str, text: str):
         return text
     if kind.endswith(" | None") and text == "":
         return None
-    if kind.startswith(("list[", "np.ndarray")):
+    if kind.startswith("list["):
         return [_convert(tok) for tok in text.split(",") if tok.strip() != ""]
     return _convert(text)
 
 
 def _format(value) -> str:
-    if isinstance(value, (list, np.ndarray)):
+    if isinstance(value, list):
         return ",".join(map(str, value))
     return "" if value is None else str(value)
 
@@ -83,30 +84,43 @@ def _values(obj) -> dict:
     return {name: getattr(obj, name) for name in _keys(type(obj))}
 
 
-def _section(name: str, typed, **kwargs):
-    """A field of section `name`; `typed`, if set, is the config class that checks its values."""
-    return bounded(metadata={"section": name, "typed": typed}, **kwargs)
+def _section(name: str, **kwargs):
+    """A field of INI section `name`; a dict field holds the whole section."""
+    return bounded(metadata={"section": name}, **kwargs)
+
+
+def _build(section: str, cls, values: dict, **given):
+    """`cls` built from section `values` (and `given`, keys the harness sets); a
+    key `cls` lacks, or a value its check rejects, is named `section.key`."""
+    for key in values:
+        if key not in _keys(cls):
+            raise ConfigurationError(f"unknown config key {section}.{key}")
+    try:
+        return cls(**given, **values)
+    except FieldError as exc:
+        raise FieldError(f"{section}.{exc}") from None
 
 
 @dataclass
 class ExperimentConfig:
-    """One (M, seed) grid. Scalar fields are keys of their section (default
-    [experiment]); each dict field holds a whole section. The strategy and
-    train parameters are resolved against their dataclass defaults."""
+    """One (M, seed) grid. Scalar fields are keys of the section they declare;
+    each dict field holds a whole section. Every section is resolved: the dict
+    fields hold each key of their config class, the defaults filled in."""
 
-    env: str = ""
-    strategy: str = ""
-    seeds: list[int] = bounded(default_factory=lambda: [0, 1, 2, 3, 4], ge=0)
-    m_values: list[int] = bounded(default_factory=lambda: [250, 500, 1000, 2000], ge=1)
-    output_dir: str = "runs"
-    workers: int = bounded(default=1, ge=1)
-    eval_episodes: int = bounded(default=20, ge=1)
-    env_overrides: dict = _section("env", EnvParams, default_factory=dict)
-    strategy_params: dict = _section("strategy", StrategyConfig, default_factory=dict)
-    train_params: dict = _section("train", TrainConfig, default_factory=dict)
-    m_cal: int = _section("conformal", None, default=30, ge=1)
-    max_steps: int = _section("budget", Budget, default=10000)
-    max_queries: int | None = _section("budget", Budget, default=None)
+    env: str = _section("experiment", default="")
+    strategy: str = _section("experiment", default="")
+    seeds: list[int] = _section("experiment", default_factory=lambda: [0, 1, 2, 3, 4], ge=0)
+    m_values: list[int] = _section("experiment",
+                                   default_factory=lambda: [250, 500, 1000, 2000], ge=1)
+    output_dir: str = _section("experiment", default="runs")
+    workers: int = _section("experiment", default=1, ge=1)
+    eval_episodes: int = _section("experiment", default=20, ge=1)
+    env_overrides: dict = _section("env", default_factory=dict)
+    strategy_params: dict = _section("strategy", default_factory=dict)
+    train_params: dict = _section("train", default_factory=dict)
+    m_cal: int = _section("conformal", default=30, ge=1)
+    max_steps: int = _section("budget", default=10000)
+    max_queries: int | None = _section("budget", default=None)
 
     def __post_init__(self):
         if not self.env:
@@ -116,16 +130,23 @@ class ExperimentConfig:
         check_fields(self)
         for name in ("seeds", "m_values"):  # the grid's axes
             check_axis(name, getattr(self, name))
-        unknown = [f"strategy.{key}" for key in self.strategy_params
-                   if key not in _keys(StrategyConfig)]
-        unknown += [f"train.{key}" for key in self.train_params if key not in _keys(TrainConfig)]
-        if unknown:
-            raise ConfigurationError(f"unknown config key {unknown[0]}")
-        # fail fast on an invalid strategy, training, budget or env before any run starts
-        self.strategy_params = _values(self.make_strategy_config())
-        self.train_params = _values(self.make_train_config())
-        Budget(max_queries=self.max_queries, max_steps=self.max_steps)
-        make_env(self.env, **self.env_overrides)
+        # fail fast on an invalid section before any run starts, and keep each resolved
+        env, strategy, train, _ = self.parts()
+        self.env_overrides = _values(env.params)
+        self.strategy_params = _values(strategy)
+        self.train_params = _values(train)
+
+    def parts(self) -> tuple:
+        """(env, strategy, train, budget): the environment and the config each
+        of its sections builds."""
+        if self.env not in KINDS:
+            raise ConfigurationError(f"unknown environment kind: {self.env!r}")
+        env_cls = KINDS[self.env]
+        return (env_cls(_build("env", env_cls.Params, self.env_overrides)),
+                _build("strategy", StrategyConfig, self.strategy_params, kind=self.strategy),
+                _build("train", TrainConfig, self.train_params),
+                _build("budget", Budget, {"max_steps": self.max_steps,
+                                          "max_queries": self.max_queries}))
 
     @classmethod
     def from_parser(cls, parser: configparser.ConfigParser) -> "ExperimentConfig":
@@ -134,37 +155,31 @@ class ExperimentConfig:
         kwargs: dict = {}
         layout = cls._layout()
         env = parser.get("experiment", "env", fallback="").strip()  # [env] holds its params
+        typed = {"env": KINDS[env].Params if env in KINDS else EnvParams,
+                 "strategy": StrategyConfig, "train": TrainConfig}
         for section in parser.sections():
             if section not in layout:
                 raise ConfigurationError(f"unknown config section [{section}]")
             holder = layout[section][0]
             if holder.type == "dict":  # the field holds the whole section
-                typed = holder.metadata["typed"]
-                typed = KINDS[env].Params if typed is EnvParams and env in KINDS else typed
-                types = {f.name: f.type for f in fields(typed)}
+                types = {f.name: f.type for f in fields(typed[section])}
                 values = kwargs.setdefault(holder.name, {})
             else:
                 types, values = {f.name: f.type for f in layout[section]}, kwargs
             for key, val in parser.items(section):
                 if holder.type == "dict" and val.strip() == "":
                     continue  # an empty value keeps the default
-                if key not in types and holder.type != "dict":  # __post_init__ rejects the rest
+                if key not in types and holder.type != "dict":  # `parts` rejects the rest
                     raise ConfigurationError(f"unknown config key {section}.{key}")
                 values[key] = parse_value(types.get(key, ""), val)
-        try:
-            return cls(**kwargs)
-        except FieldError as exc:  # name the key section.key, by the field that holds it
-            held = next(f for f in fields(cls) if (f.name == exc.name if exc.owner is cls
-                        else issubclass(exc.owner, f.metadata.get("typed") or ())))
-            section = held.metadata.get("section", "experiment")
-            raise FieldError(f"{section}.{exc.name}", exc.problem, exc.owner) from None
+        return cls(**kwargs)
 
     @classmethod
     def _layout(cls) -> dict[str, list]:
         """INI section -> the fields it holds; a dict field holds a whole section."""
         layout: dict[str, list] = {}
         for f in fields(cls):
-            layout.setdefault(f.metadata.get("section", "experiment"), []).append(f)
+            layout.setdefault(f.metadata["section"], []).append(f)
         return layout
 
     @classmethod
@@ -190,12 +205,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"config file {path} is not UTF-8: {exc}") from None
         return cls.from_parser(parser)
 
-    def make_strategy_config(self) -> StrategyConfig:
-        return StrategyConfig(kind=self.strategy, **self.strategy_params)
-
-    def make_train_config(self) -> TrainConfig:
-        return TrainConfig(**self.train_params)
-
     def resolved_text(self) -> str:
         """Fully resolved config in the same INI format it was read from."""
         lines = []
@@ -211,7 +220,7 @@ class ExperimentConfig:
         """The per-run part of the config, as embedded in its run record."""
         snap = {k: v for k, v in asdict(self).items() if k not in GRID_ONLY}
         snap = {**snap, "m": m, "seed": seed}
-        # as the record will hold it: a numpy number or array given becomes a Python one
+        # as the record will hold it: a numpy number given becomes a Python one
         return json.loads(json.dumps(snap, default=lambda value: value.tolist()))
 
 
@@ -221,10 +230,8 @@ def run_basename(strategy: str, m: int, seed: int) -> str:
 
 def run_single(config: ExperimentConfig, m: int, seed: int) -> RunRecord:
     """One fully seeded run: dataset, cloning, calibration, training."""
-    env = make_env(config.env, **config.env_overrides)
+    env, strategy, train_config, budget = config.parts()
     expert = make_expert(env)
-    train_config = config.make_train_config()
-    strategy = config.make_strategy_config()
 
     expert_mean, _, _ = evaluate_policy(env, expert, config.eval_episodes, (seed, 101))
     dataset = build_initial_dataset(env, expert, m, (seed, 102))
@@ -232,7 +239,6 @@ def run_single(config: ExperimentConfig, m: int, seed: int) -> RunRecord:
     threshold = None
     if strategy.kind == "crsail":
         threshold = calibrate_radius(env, policy, dataset, strategy, config.m_cal, (seed, 103))
-    budget = Budget(max_queries=config.max_queries, max_steps=config.max_steps)
     _, record = train(
         env, expert, dataset, policy, strategy, budget, train_config, (seed, 104),
         threshold=threshold, expert_mean=expert_mean, eval_episodes=config.eval_episodes,

@@ -47,3 +47,17 @@ class NoisyExpert:
     def act(self, state) -> np.ndarray:
         action = self.expert.act(state)
         return action + self.noise_std * self.rng.standard_normal(action.shape)
+
+
+class FixedStart:
+    """An environment whose every episode starts at `state`; the rest is `env`'s."""
+
+    def __init__(self, env, state):
+        self.env = env
+        self.state = np.asarray(state, dtype=np.float64)
+
+    def __getattr__(self, name):
+        return getattr(self.env, name)
+
+    def reset(self, rng) -> np.ndarray:
+        return self.state.copy()

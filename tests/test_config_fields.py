@@ -1,8 +1,9 @@
 """The one field check: every field of every config dataclass, walked.
 
 Each int, float, bool and list field must reject a wrong-typed value on
-direct construction, with a message that names the field; a field added
-later is covered here without a new test.
+direct construction, with a message that names the field (`section.key` for
+an `ExperimentConfig` field); a field added later is covered here without a
+new test.
 """
 
 import dataclasses
@@ -31,9 +32,8 @@ CONFIGS = {
 }
 
 # field types the field check leaves to their owners: a str is checked where
-# it is read, a dict holds another config's fields, and `fixed_init` is
-# checked by the env, which knows its state_dim
-UNCHECKED = {"str", "dict", "np.ndarray | None"}
+# it is read, and a dict holds another config's fields
+UNCHECKED = {"str", "dict"}
 
 
 def _wrong_values(kind: str) -> list:
@@ -45,7 +45,12 @@ def _wrong_values(kind: str) -> list:
     return ["x", *wrong]
 
 
-CASES = [(cls, f.name, value) for cls in CONFIGS for f in dataclasses.fields(cls)
+def _label(f) -> str:
+    """How a message names field `f`: `section.key` if it declares its section."""
+    return f"{f.metadata['section']}.{f.name}" if "section" in f.metadata else f.name
+
+
+CASES = [(cls, f.name, _label(f), value) for cls in CONFIGS for f in dataclasses.fields(cls)
          if f.type not in UNCHECKED
          for value in _wrong_values(f.type.removesuffix(" | None"))]
 
@@ -57,13 +62,14 @@ def test_every_field_type_is_checked_or_left_to_its_owner():
                 f"{cls.__name__}.{f.name}: {f.type}"
 
 
-@pytest.mark.parametrize("cls, name, value", CASES,
-                         ids=[f"{c.__name__}.{n}={v!r}" for c, n, v in CASES])
-def test_wrong_typed_value_is_rejected_naming_the_field(cls, name, value):
+@pytest.mark.parametrize("cls, name, label, value", CASES,
+                         ids=[f"{c.__name__}.{n}={v!r}" for c, n, _, v in CASES])
+def test_wrong_typed_value_is_rejected_naming_the_field(cls, name, label, value):
     with pytest.raises(ConfigurationError) as err:
         cls(**{**CONFIGS[cls], name: value})
     message = str(err.value)
-    assert re.fullmatch(rf"{name}(: expected .+| must be finite), got .+", message), message
+    assert re.fullmatch(rf"{re.escape(label)}(: expected .+| must be finite), got .+", message), \
+        message
     assert "\n" not in message
 
 
@@ -90,21 +96,26 @@ def test_env_params_keep_the_bounds_of_the_fields_they_redeclare(cls):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: ExperimentConfig(env="pendulum", strategy="crsail", strategy_params={"k": True}),
-     "k: expected an integer, got True"),
+     "strategy.k: expected an integer, got True"),
     (lambda: ExperimentConfig(env="pendulum", strategy="crsail", strategy_params={"k": 5.0}),
-     "k: expected an integer, got 5.0"),
+     "strategy.k: expected an integer, got 5.0"),
     (lambda: ExperimentConfig(env="pendulum", strategy="crsail", eval_episodes=2.0),
-     "eval_episodes: expected an integer, got 2.0"),
+     "experiment.eval_episodes: expected an integer, got 2.0"),
     (lambda: ExperimentConfig(env="pendulum", strategy="crsail", m_cal=3.0),
-     "m_cal: expected an integer, got 3.0"),
+     "conformal.m_cal: expected an integer, got 3.0"),
     (lambda: ExperimentConfig(env="pendulum", strategy="crsail",
                               train_params={"batch_size": 64.0}),
-     "batch_size: expected an integer, got 64.0"),
+     "train.batch_size: expected an integer, got 64.0"),
+    (lambda: ExperimentConfig(env="pusher", strategy="crsail", env_overrides={"t_max": 1.5}),
+     "env.t_max: expected an integer, got 1.5"),
+    (lambda: ExperimentConfig(env="pendulum", strategy="crsail", max_queries=2.5),
+     "budget.max_queries: expected an integer, got 2.5"),
     (lambda: StrategyConfig(kind="crsail", k=2.5), "k: expected an integer, got 2.5"),
     (lambda: TrainConfig(bc_epochs=1.5), "bc_epochs: expected an integer, got 1.5"),
     (lambda: Budget(max_steps=2.5), "max_steps: expected an integer, got 2.5"),
 ], ids=["strategy-k-bool", "strategy-k-float", "eval_episodes-float", "m_cal-float",
-        "train-batch_size-float", "StrategyConfig-k-float", "TrainConfig-bc_epochs-float",
+        "train-batch_size-float", "env-t_max-float", "budget-max_queries-float",
+        "StrategyConfig-k-float", "TrainConfig-bc_epochs-float",
         "Budget-max_steps-float"])
 def test_direct_construction_rejects_wrong_types(build, message):
     with pytest.raises(ConfigurationError) as err:

@@ -6,14 +6,13 @@ from crsail.envs import (
     DoubleIntegratorParams,
     DoubleIntegrator,
     Pendulum,
-    PendulumParams,
     make_env,
     make_expert,
 )
 from crsail.dataset import Standardizer
 from crsail.exceptions import ConfigurationError, NumericalFailureError
 from crsail.policy import MLPPolicy, TrainConfig
-from helpers import ZeroPolicy, same_bits
+from helpers import FixedStart, ZeroPolicy, same_bits
 
 
 class NanPolicy:
@@ -34,7 +33,7 @@ class DummyZeroRewardEnv:
 
 
 def test_zero_action_double_integrator_follows_closed_form():
-    env = DoubleIntegrator(DoubleIntegratorParams(t_max=3, fixed_init=np.array([1.0, 0.0, 0.0, 0.0])))
+    env = FixedStart(DoubleIntegrator(DoubleIntegratorParams(t_max=3)), [1.0, 0.0, 0.0, 0.0])
     traj = rollout(env, ZeroPolicy(2), 0)
     assert traj.length == 3
     # zero velocity and zero action: position never moves
@@ -43,7 +42,7 @@ def test_zero_action_double_integrator_follows_closed_form():
 
 
 def test_pendulum_beyond_failure_bound_terminates_immediately():
-    env = Pendulum(PendulumParams(fixed_init=np.array([1.6, 0.0])))
+    env = FixedStart(Pendulum(), [1.6, 0.0])
     traj = rollout(env, ZeroPolicy(1), 0)
     assert traj.length == 1
 

@@ -20,7 +20,7 @@ from crsail.envs import (
     make_expert,
 )
 from crsail.exceptions import ConfigurationError
-from helpers import ZeroPolicy, same_bits
+from helpers import FixedStart, ZeroPolicy, same_bits
 
 
 def test_pendulum_equilibrium_is_fixed_point():
@@ -83,10 +83,9 @@ def test_experts_idle_at_their_equilibria():
 
 @pytest.mark.parametrize("theta,theta_dot", [(0.3, 0.5), (0.3, -0.5), (-0.3, 0.5), (-0.3, -0.5)])
 def test_pendulum_expert_survives_worst_case_inits(theta, theta_dot):
-    params = PendulumParams(fixed_init=np.array([theta, theta_dot]))
-    env = Pendulum(params)
-    traj = rollout(env, PendulumExpert(params), 0)
-    assert traj.length == params.t_max
+    env = FixedStart(Pendulum(), [theta, theta_dot])
+    traj = rollout(env, PendulumExpert(env.params), 0)
+    assert traj.length == env.t_max
 
 
 def test_pendulum_expert_certification():
@@ -222,14 +221,6 @@ def test_step_on_a_stack_equals_step_row_by_row(kind):
     assert np.array_equal(terminal, [r[2] for r in rows])
     if kind == "pendulum":
         assert 0 < terminal.sum() < len(terminal)
-
-
-@pytest.mark.parametrize("fixed_init", [1.0, [0.1, 0.2, 0.3], [0.1, np.nan], "0.1,0.2",
-                                        [[0.1], 0.2], [[0.1, 0.2]]])
-def test_fixed_init_must_be_state_dim_finite_numbers(fixed_init):
-    with pytest.raises(ConfigurationError, match="fixed_init: expected 2 finite numbers"):
-        make_env("pendulum", fixed_init=fixed_init)
-    assert make_env("pendulum", fixed_init=[0.1, 0.2]).reset(None).tolist() == [0.1, 0.2]
 
 
 @pytest.mark.parametrize("kind, name", [("pendulum", "dt"), ("pendulum", "g"),

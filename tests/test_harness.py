@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from crsail.cli import OUTPUT_ROOT_ENV, main
+from crsail.envs import KINDS, PendulumParams
 from crsail.exceptions import ConfigurationError
 from crsail.harness import (
     ExperimentConfig,
@@ -24,7 +25,7 @@ from crsail.harness import (
 )
 from crsail.policy import TrainConfig
 from crsail.strategies import StrategyConfig
-from crsail.trainer import RunRecord
+from crsail.trainer import Budget, RunRecord
 
 MINIMAL = """\
 [experiment]
@@ -170,7 +171,7 @@ def test_valid_strategy_and_train_values_load_as_written(config_path):
 
 @pytest.mark.parametrize("override, message", [
     ("experiment.env=foo", "unknown environment kind: 'foo'"),
-    ("env.bogus=1", "unknown pendulum parameter 'bogus'"),
+    ("env.bogus=1", "unknown config key env.bogus"),
     ("env.dt=-1", "env.dt must be > 0, got -1"),
     ("env.dt=fast", "env.dt: expected a number, got 'fast'"),
     ("env.t_max=1.5", "env.t_max: expected an integer, got 1.5"),
@@ -199,10 +200,8 @@ def test_cli_run_rejects_bad_env_and_typed_values_before_any_run(config_path, ca
     ("strategy.tau=nan", "strategy.tau must be finite, got nan"),
     ("strategy.tau_doubt=inf", "strategy.tau_doubt must be finite, got inf"),
     ("env.dt=nan", "env.dt must be finite, got nan"),
-    ("env.fixed_init=1", "env.fixed_init: expected 2 finite numbers, got [1]"),
 ])
-def test_cli_run_rejects_non_finite_values_and_a_scalar_fixed_init(config_path, capsys,
-                                                                   override, message):
+def test_cli_run_rejects_non_finite_values(config_path, capsys, override, message):
     assert main(["run", config_path, "--set", override]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -502,29 +501,44 @@ def test_resolved_text_round_trips_every_field(tmp_path):
     # a config that sets nothing optional resolves to the dataclass defaults
     bare = ExperimentConfig(env="pendulum", strategy="dagger")
     assert _reparse(bare) == bare
-    assert bare.make_strategy_config() == StrategyConfig("dagger")
-    assert bare.make_train_config() == TrainConfig()
+    _, strategy, train, budget = bare.parts()
+    assert (strategy, train, budget) == (StrategyConfig("dagger"), TrainConfig(),
+                                         Budget(max_steps=10000))
 
 
 def _settable(cls):
     return [f for f in dataclasses.fields(cls) if f.name != "kind"]
 
 
-@pytest.mark.parametrize("section, cls", [("strategy", StrategyConfig), ("train", TrainConfig)])
-def test_every_dataclass_field_is_a_config_key(config_path, section, cls):
+def _a_value(f):
+    """A valid value for field `f`: its default (a bool's flipped), or 7 if it has none."""
+    if isinstance(f.default, bool):
+        return not f.default
+    return 7 if f.default in (None, dataclasses.MISSING) else f.default
+
+
+# (INI section, experiment.env, the class the section builds, where `parts` holds it)
+SECTIONS = [("strategy", "pendulum", StrategyConfig, lambda parts: parts[1]),
+            ("train", "pendulum", TrainConfig, lambda parts: parts[2]),
+            ("budget", "pendulum", Budget, lambda parts: parts[3]),
+            *[("env", kind, KINDS[kind].Params, lambda parts: parts[0].params)
+              for kind in KINDS]]
+
+
+@pytest.mark.parametrize("section, env, cls, built", SECTIONS,
+                         ids=[f"{section}-{env}" for section, env, _, _ in SECTIONS])
+def test_every_dataclass_field_is_a_config_key(config_path, section, env, cls, built):
     for f in _settable(cls):
-        default = f.default
-        value = not default if isinstance(default, bool) else default
-        config = ExperimentConfig.from_file(config_path, overrides=[f"{section}.{f.name}={value}"])
-        built = config.make_strategy_config() if cls is StrategyConfig \
-            else config.make_train_config()
-        assert getattr(built, f.name) == value, f.name
+        value = _a_value(f)
+        config = ExperimentConfig.from_file(config_path, overrides=[
+            f"experiment.env={env}", f"{section}.{f.name}={value}"])
+        assert getattr(built(config.parts()), f.name) == value, f.name
 
 
 @pytest.mark.parametrize("key", ["strategy.kind=dagger", "strategy.radius=1.0",
                                  "train.seed=3", "train.hidden=32",
                                  "strategy.standardize=false",
-                                 "conformal.recalibrate_every=2"])
+                                 "conformal.recalibrate_every=2", "env.fixed_init=0.1,0.2"])
 def test_harness_owned_and_removed_keys_are_rejected(config_path, key):
     with pytest.raises(ConfigurationError, match="unknown config key"):
         ExperimentConfig.from_file(config_path, overrides=[key])
@@ -534,11 +548,37 @@ def test_ini_and_direct_configs_resolve_alike(config_path):
     ini = ExperimentConfig.from_file(config_path, overrides=["experiment.strategy=fixed-threshold"])
     direct = ExperimentConfig(env="pendulum", strategy="fixed-threshold",
                               train_params={"bc_epochs": 5, "update_epochs": 2})
-    assert ini.make_strategy_config() == direct.make_strategy_config()
-    assert ini.make_strategy_config().tau == 0.1
+    assert ini.parts()[1] == direct.parts()[1]
+    assert ini.parts()[1].tau == 0.1
     assert ini.snapshot(100, 0)["strategy_params"] == direct.snapshot(100, 0)["strategy_params"]
     assert direct.snapshot(100, 0)["train_params"] == {
-        f.name: getattr(direct.make_train_config(), f.name) for f in _settable(TrainConfig)}
+        f.name: getattr(direct.parts()[2], f.name) for f in _settable(TrainConfig)}
+
+
+def test_env_section_is_stored_and_printed_resolved(config_path, capsys):
+    given = ExperimentConfig.from_file(config_path, overrides=["env.dt=0.05"])
+    bare = ExperimentConfig.from_file(config_path)
+    assert given.snapshot(100, 0) == bare.snapshot(100, 0)
+    records = [RunRecord(config=given.snapshot(100, 0)), RunRecord(config=bare.snapshot(100, 1))]
+    assert [row["runs"] for row in summarize(records)] == [2]
+    assert main(["run", config_path, "--print-config"]) == 0
+    parser = configparser.ConfigParser()
+    parser.read_string(capsys.readouterr().out)
+    assert list(parser["env"]) == [f.name for f in dataclasses.fields(PendulumParams)]
+    assert ExperimentConfig.from_parser(parser) == bare
+
+
+def test_one_bad_value_gives_one_message_from_a_file_an_override_and_direct(config_path):
+    message = "strategy.k must be >= 1, got 0"
+    with pytest.raises(ConfigurationError) as from_set:
+        ExperimentConfig.from_file(config_path, overrides=["strategy.k=0"])
+    with open(config_path, "a") as fh:
+        fh.write("\n[strategy]\nk = 0\n")
+    with pytest.raises(ConfigurationError) as from_file:
+        ExperimentConfig.from_file(config_path)
+    with pytest.raises(ConfigurationError) as direct:
+        ExperimentConfig(env="pendulum", strategy="dagger", strategy_params={"k": 0})
+    assert [str(err.value) for err in (from_file, from_set, direct)] == [message] * 3
 
 
 @pytest.mark.parametrize("workers, seeds, pools", [(3, [0, 1], [2]), (2, [0], [])])
@@ -627,25 +667,6 @@ def test_bad_record_files_are_skipped_and_named(config_path, capsys):
         assert cause in line
 
 
-def test_fixed_init_from_a_config_file_loads_runs_and_prints_back(config_path, capsys):
-    with open(config_path, "a") as fh:
-        fh.write("\n[env]\nfixed_init = 0.1, 0.2\n")
-    config = ExperimentConfig.from_file(config_path)
-    assert config.env_overrides == {"fixed_init": [0.1, 0.2]}
-    assert _reparse(config) == config
-    records, failures = run(config)
-    assert failures == [] and records[0].config["env_overrides"] == {"fixed_init": [0.1, 0.2]}
-    assert main(["run", config_path, "--print-config"]) == 0
-    printed = capsys.readouterr().out
-    assert "fixed_init = 0.1,0.2\n" in printed
-    parser = configparser.ConfigParser()
-    parser.read_string(printed)
-    assert ExperimentConfig.from_parser(parser) == config
-    direct = ExperimentConfig(env="pusher", strategy="dagger",
-                              env_overrides={"fixed_init": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]})
-    assert _reparse(direct) == direct
-
-
 def _small_run_record(tmp_path, name, **kwargs):
     config = ExperimentConfig(**{
         "env": "pendulum", "strategy": "dagger", "seeds": [0], "m_values": [30],
@@ -663,11 +684,9 @@ def _small_run_record(tmp_path, name, **kwargs):
 @pytest.mark.parametrize("numpy_kwargs, plain_kwargs", [
     ({"seeds": [np.int64(0)]}, {"seeds": [0]}),
     ({"env_overrides": {"t_max": np.int64(20)}}, {"env_overrides": {"t_max": 20}}),
-    ({"env_overrides": {"fixed_init": np.array([0.1, 0.2])}},
-     {"env_overrides": {"fixed_init": [0.1, 0.2]}}),
     ({"strategy_params": {"alpha": np.float64(0.5)}, "m_cal": np.int64(4)},
      {"strategy_params": {"alpha": 0.5}, "m_cal": 4}),
-], ids=["seeds", "t_max", "fixed_init", "alpha-m_cal"])
+], ids=["seeds", "t_max", "alpha-m_cal"])
 def test_numpy_config_values_save_the_record_of_plain_ones(tmp_path, numpy_kwargs,
                                                            plain_kwargs):
     saved = _small_run_record(tmp_path, "numpy", **numpy_kwargs)
