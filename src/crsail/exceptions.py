@@ -59,6 +59,7 @@ FIELD_TYPES = {
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "list[int]": (lambda v: isinstance(v, list) and all(map(FIELD_TYPES["int"][0], v)),
                   "integers"),
+    "dict": (lambda v: isinstance(v, dict), "a dict of section keys"),
 }
 
 

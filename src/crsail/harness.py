@@ -26,9 +26,10 @@ import numpy as np
 from crsail.conformal import calibrate_radius
 from crsail.core import evaluate_policy
 from crsail.envs import KINDS, EnvParams, make_expert
-from crsail.exceptions import ConfigurationError, FieldError, bounded, check_fields
+from crsail.exceptions import (ConfigurationError, FieldError, InsufficientDataError, bounded,
+                               check_fields)
 from crsail.policy import TrainConfig, behavioral_cloning
-from crsail.strategies import StrategyConfig
+from crsail.strategies import READS, StrategyConfig
 from crsail.trainer import Budget, RunRecord, build_initial_dataset, train, write_csv
 
 GRID_ONLY = ("seeds", "m_values", "output_dir", "workers")  # not part of a run's snapshot
@@ -233,8 +234,12 @@ def run_single(config: ExperimentConfig, m: int, seed: int) -> RunRecord:
     env, strategy, train_config, budget = config.parts()
     expert = make_expert(env)
 
-    expert_mean, _, _ = evaluate_policy(env, expert, config.eval_episodes, (seed, 101))
     dataset = build_initial_dataset(env, expert, m, (seed, 102))
+    # K is checked before the expert evaluation, the cloning and the calibration rollouts
+    if "k" in READS[strategy.kind] and strategy.k > len(dataset):
+        raise InsufficientDataError(f"strategy.k={strategy.k} exceeds the {len(dataset)} "
+                                    f"pairs of the initial dataset (M={m})")
+    expert_mean, _, _ = evaluate_policy(env, expert, config.eval_episodes, (seed, 101))
     policy = behavioral_cloning(dataset, train_config, np.random.default_rng(seed))
     threshold = None
     if strategy.kind == "crsail":

@@ -23,6 +23,9 @@ class TrainConfig:
     learning_rate: float = bounded(default=1e-2, gt=0)
     batch_size: int = bounded(default=64, ge=1)
     bc_epochs: int = bounded(default=50, ge=1)
+    # warm-start passes over as many rows as the initial dataset holds, not over
+    # the whole aggregate; retraining from scratch and ensemble cloning run
+    # bc_epochs passes over all of it
     update_epochs: int = bounded(default=10, ge=1)
     init_scale: float = 0.1
     retrain_from_scratch: bool = False
@@ -155,10 +158,10 @@ def _sgd_epochs(params, z, labels, perms, config: TrainConfig) -> None:
     """The one minibatch SGD loop; updates `params` (w1, b1, w2, b2) in place.
 
     `z` and `labels` are the standardized states and actions, one training
-    pair per row, and `perms` holds one permutation of row indices per epoch,
-    shape (epochs, n). With shape (epochs, members, n) and a leading member
-    axis on every parameter, the members train in lockstep, each on its own
-    rows of the stack.
+    pair per row, and `perms` holds each epoch's row indices, shape
+    (epochs, rows); the minibatches restart with each epoch. With shape
+    (epochs, members, rows) and a leading member axis on every parameter, the
+    members train in lockstep, each on its own rows of the stack.
 
     Each epoch gathers its permuted rows once; the parameters and gradients
     are views of one flat vector each, so a step is `grad *= lr; flat -= grad`,
@@ -230,14 +233,21 @@ def behavioral_cloning(dataset: ExpertDataset, config: TrainConfig,
 
 
 def update(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
-           rng: np.random.Generator, epochs: int | None = None) -> MLPPolicy:
+           rng: np.random.Generator, epochs: int | None = None,
+           epoch_rows: int | None = None) -> MLPPolicy:
     """Advance the learner on the aggregated dataset.
 
-    Warm-starts from the given parameters by default; set
+    Warm-starts from the given parameters by default and trains on
+    `epochs * epoch_rows` rows: consecutive permutations of the whole dataset,
+    cut at that count, with the minibatches restarting every `epoch_rows`
+    rows, so every row is trained on while the count reaches the dataset's
+    size. `epoch_rows` defaults to the dataset's size, one permutation per
+    epoch; `train` passes the initial dataset's size, so an update costs the
+    same however large the dataset grows. `epochs` overrides
+    config.update_epochs (the benchmark's tracer reads it). Set
     config.retrain_from_scratch to re-run behavioral cloning for
-    config.bc_epochs instead, in which case `epochs` must not be given.
-    `epochs` overrides config.update_epochs; it stays a parameter because
-    the benchmark's tracer reads it to count the rows each update trains on.
+    config.bc_epochs on the whole dataset instead, in which case `epochs`
+    must not be given.
     """
     if config.retrain_from_scratch:
         if epochs is not None:
@@ -247,11 +257,16 @@ def update(policy: MLPPolicy, dataset: ExpertDataset, config: TrainConfig,
         return behavioral_cloning(dataset, config, rng)
     if epochs is None:
         epochs = config.update_epochs
-    if epochs < 1:
-        raise ConfigurationError("epochs must be >= 1")
+    n = len(dataset)
+    if epoch_rows is None:
+        epoch_rows = n
+    if epochs < 1 or epoch_rows < 1:
+        raise ConfigurationError(f"epochs and epoch_rows must be >= 1, got {epochs} and "
+                                 f"{epoch_rows}")
     policy = policy.copy()
-    perms = np.empty((epochs, len(dataset)), dtype=np.intp)
+    total = epochs * epoch_rows
+    perms = np.empty((-(-total // n), n), dtype=np.intp)
     _shuffle_into(perms, rng)
     _sgd_epochs(policy.params, policy.standardizer.transform(dataset.states), dataset.actions,
-                perms, config)
+                perms.reshape(-1)[:total].reshape(epochs, epoch_rows), config)
     return policy

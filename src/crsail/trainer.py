@@ -217,7 +217,8 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
                                 ensemble=ensemble)
             q_states, q_actions = label_queries(expert, traj, qs)
             dataset.append(q_states, q_actions)
-            policy = update(policy, dataset, train_config, update_rng)
+            policy = update(policy, dataset, train_config, update_rng,
+                            epoch_rows=initial_size)
         except Exception as exc:
             exc.add_note(f"in training iteration {i}")
             raise

@@ -306,7 +306,8 @@ def test_criterion_9_query_rate_decays(capsys, pendulum_runs):
         third = len(q) // 3
         if third >= 1 and q[-third:].mean() < q[:third].mean():
             decay_seeds += 1
-        full = [(e.episode, e.n_queries) for e in record.episodes if e.length == 200]
+        t_max = record.config["env_overrides"]["t_max"]  # the env's full episode length
+        full = [(e.episode, e.n_queries) for e in record.episodes if e.length == t_max]
         if len(full) >= 3:
             idx, nq = map(np.array, zip(*full))
             if np.std(nq) > 0 and np.corrcoef(idx, nq)[0, 1] < 0:

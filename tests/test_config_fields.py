@@ -1,6 +1,6 @@
 """The one field check: every field of every config dataclass, walked.
 
-Each int, float, bool and list field must reject a wrong-typed value on
+Each int, float, bool, list and dict field must reject a wrong-typed value on
 direct construction, with a message that names the field (`section.key` for
 an `ExperimentConfig` field); a field added later is covered here without a
 new test.
@@ -32,14 +32,16 @@ CONFIGS = {
 }
 
 # field types the field check leaves to their owners: a str is checked where
-# it is read, and a dict holds another config's fields
-UNCHECKED = {"str", "dict"}
+# it is read
+UNCHECKED = {"str"}
 
 
 def _wrong_values(kind: str) -> list:
     """Values of the wrong type for a field of type `kind` (without `| None`)."""
     if kind == "list[int]":
         return ["x", 3, [1, "x"], [True], [2.5], (1, 2)]
+    if kind == "dict":
+        return ["x", None, [("k", 3)], 3]
     wrong = {"int": [True, 2.5, math.nan], "float": [True, math.nan, math.inf, -math.inf],
              "bool": [1, 0.0, None]}[kind]
     return ["x", *wrong]
@@ -110,11 +112,16 @@ def test_env_params_keep_the_bounds_of_the_fields_they_redeclare(cls):
      "env.t_max: expected an integer, got 1.5"),
     (lambda: ExperimentConfig(env="pendulum", strategy="crsail", max_queries=2.5),
      "budget.max_queries: expected an integer, got 2.5"),
+    (lambda: ExperimentConfig(env="pendulum", strategy="crsail", env_overrides=None),
+     "env.env_overrides: expected a dict of section keys, got None"),
+    (lambda: ExperimentConfig(env="pendulum", strategy="crsail", strategy_params=[("k", 3)]),
+     "strategy.strategy_params: expected a dict of section keys, got [('k', 3)]"),
     (lambda: StrategyConfig(kind="crsail", k=2.5), "k: expected an integer, got 2.5"),
     (lambda: TrainConfig(bc_epochs=1.5), "bc_epochs: expected an integer, got 1.5"),
     (lambda: Budget(max_steps=2.5), "max_steps: expected an integer, got 2.5"),
 ], ids=["strategy-k-bool", "strategy-k-float", "eval_episodes-float", "m_cal-float",
         "train-batch_size-float", "env-t_max-float", "budget-max_queries-float",
+        "env_overrides-none", "strategy_params-pairs",
         "StrategyConfig-k-float", "TrainConfig-bc_epochs-float",
         "Budget-max_steps-float"])
 def test_direct_construction_rejects_wrong_types(build, message):

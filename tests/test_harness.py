@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+import crsail.harness
 from crsail.cli import OUTPUT_ROOT_ENV, main
 from crsail.envs import KINDS, PendulumParams
-from crsail.exceptions import ConfigurationError
+from crsail.exceptions import ConfigurationError, InsufficientDataError
 from crsail.harness import (
     ExperimentConfig,
     _convert,
@@ -20,6 +21,7 @@ from crsail.harness import (
     load_records,
     run,
     run_basename,
+    run_single,
     summarize,
     write_summary_csv,
 )
@@ -214,6 +216,21 @@ def test_strategy_k_checked_at_load(config_path):
         with pytest.raises(ConfigurationError, match="k must be >= 1"):
             ExperimentConfig.from_file(
                 config_path, overrides=[f"experiment.strategy={strategy}", "strategy.k=0"])
+
+
+@pytest.mark.parametrize("strategy", ["crsail", "fixed-threshold"])
+def test_k_beyond_the_initial_dataset_fails_before_cloning(config_path, monkeypatch, strategy):
+    # M=3 collects one whole 200-step pendulum episode, fewer pairs than K=500
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the K check")
+
+    for name in ("evaluate_policy", "behavioral_cloning", "calibrate_radius"):
+        monkeypatch.setattr(crsail.harness, name, never)
+    config = ExperimentConfig.from_file(config_path, overrides=[
+        f"experiment.strategy={strategy}", "strategy.k=500", "experiment.m_values=3"])
+    with pytest.raises(InsufficientDataError,
+                       match=r"^strategy.k=500 exceeds the 200 pairs of the initial dataset"):
+        run_single(config, 3, 0)
 
 
 @pytest.mark.parametrize("override", ["experiment.eval_episodes=0", "conformal.m_cal=0"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import crsail.policy
 from crsail.core import rollout
 from crsail.dataset import ExpertDataset, Standardizer
 from crsail.envs import make_env, make_expert
@@ -260,6 +261,8 @@ def test_zero_epochs_disallowed():
                        identity_standardizer(1))
     with pytest.raises(ConfigurationError):
         update(policy, dataset, TrainConfig(), np.random.default_rng(0), epochs=0)
+    with pytest.raises(ConfigurationError, match="epoch_rows"):
+        update(policy, dataset, TrainConfig(), np.random.default_rng(0), epoch_rows=0)
     with pytest.raises(ConfigurationError):
         TrainConfig(update_epochs=0)
 
@@ -292,6 +295,69 @@ def test_training_loss_mostly_non_increasing():
         losses.append(loss_and_grad(policy, dataset.states, dataset.actions)[0])
     decreases = sum(b <= a for a, b in zip(losses, losses[1:]))
     assert decreases >= 0.95 * (len(losses) - 1)
+
+
+def _pusher_dataset(n, seed=0):
+    env = make_env("pusher")
+    full = build_initial_dataset(env, make_expert(env), n, seed)
+    return ExpertDataset(full.states[:n], full.actions[:n], full.standardizer)
+
+
+def test_update_on_its_initial_size_is_one_permutation_per_epoch():
+    # epoch_rows == len(dataset): each epoch is one `rng.permutation(n)`, the
+    # draw and loop of an update over the whole dataset, bit for bit
+    dataset = _pusher_dataset(150)
+    config = TrainConfig(update_epochs=3)
+    base = behavioral_cloning(dataset, TrainConfig(bc_epochs=2), np.random.default_rng(0))
+    ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
+    expected = base.copy()
+    perms = np.array([ref_rng.permutation(len(dataset)) for _ in range(3)])
+    _reference_sgd_epochs(expected.params, dataset.standardizer.transform(dataset.states),
+                          dataset.actions, perms, config)
+    got = update(base, dataset, config, rng, epoch_rows=len(dataset))
+    assert params_equal(got, expected)
+    assert params_equal(update(base, dataset, config, np.random.default_rng(4)), expected)
+    assert rng.random() == ref_rng.random()
+
+
+def _sgd_rows(monkeypatch):
+    """Record the row indices `update` hands to `_sgd_epochs`, one array per call."""
+    seen = []
+    real = crsail.policy._sgd_epochs
+
+    def spy(params, z, labels, perms, config):
+        seen.append(perms.copy())
+        real(params, z, labels, perms, config)
+
+    monkeypatch.setattr(crsail.policy, "_sgd_epochs", spy)
+    return seen
+
+
+def test_update_trains_on_epochs_times_epoch_rows_rows(monkeypatch):
+    n0 = 50
+    dataset = _pusher_dataset(3 * n0)
+    config = TrainConfig(update_epochs=4)
+    base = behavioral_cloning(dataset, TrainConfig(bc_epochs=1), np.random.default_rng(0))
+    seen = _sgd_rows(monkeypatch)
+    update(base, dataset, config, np.random.default_rng(1), epoch_rows=n0)
+    (perms,) = seen
+    assert perms.shape == (4, n0)
+    # the rows are consecutive permutations of the whole dataset, cut at 4 * n0
+    ref = np.random.default_rng(1)
+    drawn = np.concatenate([ref.permutation(3 * n0) for _ in range(2)])
+    assert np.array_equal(perms.ravel(), drawn[:4 * n0])
+
+
+@pytest.mark.parametrize("epochs, n0, n", [(10, 50, 500), (10, 50, 120), (3, 40, 41), (1, 7, 5)])
+def test_update_trains_on_every_row_when_its_count_reaches_the_dataset(monkeypatch, epochs,
+                                                                       n0, n):
+    dataset = _pusher_dataset(n)
+    base = behavioral_cloning(dataset, TrainConfig(bc_epochs=1), np.random.default_rng(0))
+    seen = _sgd_rows(monkeypatch)
+    update(base, dataset, TrainConfig(update_epochs=epochs), np.random.default_rng(2),
+           epoch_rows=n0)
+    assert seen[0].shape == (epochs, n0)
+    assert set(seen[0].ravel()) == set(range(n))
 
 
 def test_retrain_from_scratch_flag():

@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import crsail.policy
 import crsail.trainer
 from crsail.conformal import calibrate_radius
 from crsail.core import rollout
@@ -176,6 +177,23 @@ def test_dagger_queries_equal_steps():
         assert e.n_queries == e.length
     last = record.episodes[-1]
     assert last.queries_cum == last.steps_cum
+
+
+def test_every_update_trains_on_the_same_row_count(monkeypatch):
+    # the dataset grows by a whole episode each iteration, the update's rows do not
+    rows = []
+    real = crsail.policy._sgd_epochs
+
+    def spy(params, z, labels, perms, config):
+        rows.append((perms.shape, len(z)))
+        real(params, z, labels, perms, config)
+
+    monkeypatch.setattr(crsail.policy, "_sgd_epochs", spy)
+    _, record = small_run(StrategyConfig("dagger"))
+    rows = rows[1:]  # the first call is the initial cloning
+    assert len(rows) == len(record.episodes) >= 3
+    assert {shape for shape, _ in rows} == {(FAST.update_epochs, 200)}
+    assert [n for _, n in rows] == [200 + e.queries_cum for e in record.episodes]
 
 
 def test_budget_entry_check_allows_final_overshoot():
