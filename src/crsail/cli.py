@@ -31,16 +31,25 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
+def _run_points(args, points) -> int:
+    """Run each (label, config) point's grid, or with --print-config print its
+    resolved config; a failed run is a `FAILED` line on stderr, and makes the
+    exit status 1."""
+    failed = False
+    for label, config in points:
+        if args.print_config:
+            print(config.resolved_text())
+            continue
+        records, failures = run(config)
+        for note in failures:
+            print(f"FAILED {label}{note}", file=sys.stderr)
+        print(f"completed {len(records)} run(s) -> {config.output_dir}")
+        failed = failed or bool(failures)
+    return 1 if failed else 0
+
+
 def _cmd_run(args) -> int:
-    config = _load_config(args)
-    if args.print_config:
-        print(config.resolved_text())
-        return 0
-    records, failures = run(config)
-    for note in failures:
-        print(f"FAILED {note}", file=sys.stderr)
-    print(f"completed {len(records)} run(s) -> {config.output_dir}")
-    return 1 if failures else 0
+    return _run_points(args, [("", _load_config(args))])
 
 
 def _cmd_sweep(args) -> int:
@@ -53,29 +62,16 @@ def _cmd_sweep(args) -> int:
     name, raw = chosen[0]
     if name not in READS[config.strategy]:
         raise ConfigurationError(f"axis {name}: strategy {config.strategy} does not read {name}")
-    base_outdir = config.output_dir
     given = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    # (value as given, its config): each value is read as `--set` reads it,
+    # (label, config) of each value: each value is read as `--set` reads it,
     # and every point is checked before any runs
-    points = [(val, ExperimentConfig.from_file(args.config,
-                                               [*(args.set or []), f"strategy.{name}={val}"]))
-              for val in given]
+    points = []
+    for val in given:
+        sub = ExperimentConfig.from_file(args.config, [*(args.set or []), f"strategy.{name}={val}"])
+        sub.output_dir = os.path.join(config.output_dir, f"{name}_{val}")
+        points.append((f"[{name}={val}] ", sub))
     check_axis(f"axis {name}", [sub.strategy_params[name] for _, sub in points])
-    any_failed = False
-    total = 0
-    for val, sub in points:
-        sub.output_dir = os.path.join(base_outdir, f"{name}_{val}")
-        if args.print_config:
-            print(sub.resolved_text())
-            continue
-        records, failures = run(sub)
-        total += len(records)
-        for note in failures:
-            print(f"FAILED [{name}={val}] {note}", file=sys.stderr)
-        any_failed = any_failed or bool(failures)
-    if not args.print_config:
-        print(f"sweep completed {total} run(s) -> {base_outdir}")
-    return 1 if any_failed else 0
+    return _run_points(args, points)
 
 
 def _collect_records(args):

@@ -13,11 +13,11 @@ call on that row alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from crsail.exceptions import ConfigurationError, bounded, check_fields
+from crsail.exceptions import ConfigurationError, bounded, build_section, check_fields
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -279,15 +279,12 @@ class DoubleIntegrator(Env):
 KINDS = {"pendulum": Pendulum, "pusher": Pusher, "double_integrator": DoubleIntegrator}
 
 
-def make_env(kind: str, **param_overrides) -> Env:
+def make_env(kind: str, /, **params) -> Env:
+    """The `kind` environment, its params built as a config's [env] section is:
+    a bad key or value is named `env.key`."""
     if kind not in KINDS:
         raise ConfigurationError(f"unknown environment kind: {kind!r}")
-    env_cls = KINDS[kind]
-    names = {f.name for f in fields(env_cls.Params)}
-    for name in param_overrides:
-        if name not in names:
-            raise ConfigurationError(f"unknown {kind} parameter {name!r}")
-    return env_cls(env_cls.Params(**param_overrides))
+    return KINDS[kind](build_section("env", KINDS[kind].Params, params))
 
 
 def make_expert(env):

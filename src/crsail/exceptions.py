@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one check of config fields."""
+"""Exception types shared across the package, the one check of config fields and
+the one builder of a config section."""
 
 import math
 import numbers
@@ -59,7 +60,8 @@ FIELD_TYPES = {
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "list[int]": (lambda v: isinstance(v, list) and all(map(FIELD_TYPES["int"][0], v)),
                   "integers"),
-    "dict": (lambda v: isinstance(v, dict), "a dict of section keys"),
+    "dict": (lambda v: isinstance(v, dict) and all(isinstance(k, str) for k in v),
+             "a dict of section keys"),
 }
 
 
@@ -94,3 +96,16 @@ def check_fields(config) -> None:
     for f in fields(config):
         name = f"{f.metadata['section']}.{f.name}" if "section" in f.metadata else f.name
         check_value(name, f.type, getattr(config, f.name), f.metadata.get("bound"))
+
+
+def build_section(section: str, cls, values: dict, /, **given):
+    """`cls` built from section `values` and `given` (keys its caller sets); a key
+    `cls` lacks or `given` sets, or a value its check rejects, is named `section.key`."""
+    names = {f.name for f in fields(cls)}
+    for key in values:
+        if key not in names or key in given:
+            raise ConfigurationError(f"unknown config key {section}.{key}")
+    try:
+        return cls(**given, **values)
+    except FieldError as exc:
+        raise FieldError(f"{section}.{exc}") from None

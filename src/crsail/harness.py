@@ -3,11 +3,11 @@
 Config files are flat INI-style key=value text with one section per module.
 The sections, keys and defaults are the dataclass fields: `ExperimentConfig`
 for [experiment], [conformal] and [budget]; `StrategyConfig` (all but `kind`)
-for [strategy]; `TrainConfig` for [train]; the env kind's params for [env].
-Each value is read by its field's type and judged by the field's own check; a
-bad value or unknown key is named `section.key`. Every section is stored
-resolved against its defaults, and every run embeds that config snapshot, so
-any output is reproducible from its own header.
+for [strategy]; `TrainConfig` for [train]; the env kind's params for [env],
+which `make_env` builds. Each value is read by its field's type and judged
+by the field's own check; a bad value or unknown key is named `section.key`.
+Every section is stored resolved against its defaults, and every run embeds
+that config snapshot, so any output is reproducible from its own header.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 
 from crsail.conformal import calibrate_radius
 from crsail.core import evaluate_policy
-from crsail.envs import KINDS, EnvParams, make_expert
-from crsail.exceptions import (ConfigurationError, FieldError, InsufficientDataError, bounded,
+from crsail.envs import KINDS, EnvParams, make_env, make_expert
+from crsail.exceptions import (ConfigurationError, InsufficientDataError, bounded, build_section,
                                check_fields)
 from crsail.policy import TrainConfig, behavioral_cloning
 from crsail.strategies import READS, StrategyConfig
@@ -77,29 +77,14 @@ def check_axis(name: str, values) -> None:
         raise ConfigurationError(f"{name} lists {repeated[0]} more than once")
 
 
-def _keys(cls) -> list[str]:
-    return [f.name for f in fields(cls) if f.name != "kind"]  # kind is [experiment] strategy
-
-
 def _values(obj) -> dict:
-    return {name: getattr(obj, name) for name in _keys(type(obj))}
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if f.name != "kind"}  # a strategy's kind is [experiment] strategy
 
 
 def _section(name: str, **kwargs):
     """A field of INI section `name`; a dict field holds the whole section."""
     return bounded(metadata={"section": name}, **kwargs)
-
-
-def _build(section: str, cls, values: dict, **given):
-    """`cls` built from section `values` (and `given`, keys the harness sets); a
-    key `cls` lacks, or a value its check rejects, is named `section.key`."""
-    for key in values:
-        if key not in _keys(cls):
-            raise ConfigurationError(f"unknown config key {section}.{key}")
-    try:
-        return cls(**given, **values)
-    except FieldError as exc:
-        raise FieldError(f"{section}.{exc}") from None
 
 
 @dataclass
@@ -140,14 +125,12 @@ class ExperimentConfig:
     def parts(self) -> tuple:
         """(env, strategy, train, budget): the environment and the config each
         of its sections builds."""
-        if self.env not in KINDS:
-            raise ConfigurationError(f"unknown environment kind: {self.env!r}")
-        env_cls = KINDS[self.env]
-        return (env_cls(_build("env", env_cls.Params, self.env_overrides)),
-                _build("strategy", StrategyConfig, self.strategy_params, kind=self.strategy),
-                _build("train", TrainConfig, self.train_params),
-                _build("budget", Budget, {"max_steps": self.max_steps,
-                                          "max_queries": self.max_queries}))
+        return (make_env(self.env, **self.env_overrides),
+                build_section("strategy", StrategyConfig, self.strategy_params,
+                              kind=self.strategy),
+                build_section("train", TrainConfig, self.train_params),
+                build_section("budget", Budget, {"max_steps": self.max_steps,
+                                                 "max_queries": self.max_queries}))
 
     @classmethod
     def from_parser(cls, parser: configparser.ConfigParser) -> "ExperimentConfig":

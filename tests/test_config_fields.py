@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from crsail.envs import DoubleIntegratorParams, EnvParams, PendulumParams, PusherParams
-from crsail.exceptions import FIELD_TYPES, ConfigurationError
+from crsail.exceptions import FIELD_TYPES, ConfigurationError, FieldError
 from crsail.harness import ExperimentConfig
 from crsail.policy import TrainConfig
 from crsail.strategies import StrategyConfig
@@ -41,7 +41,7 @@ def _wrong_values(kind: str) -> list:
     if kind == "list[int]":
         return ["x", 3, [1, "x"], [True], [2.5], (1, 2)]
     if kind == "dict":
-        return ["x", None, [("k", 3)], 3]
+        return ["x", None, [("k", 3)], 3, {1: 2}]
     wrong = {"int": [True, 2.5, math.nan], "float": [True, math.nan, math.inf, -math.inf],
              "bool": [1, 0.0, None]}[kind]
     return ["x", *wrong]
@@ -67,7 +67,7 @@ def test_every_field_type_is_checked_or_left_to_its_owner():
 @pytest.mark.parametrize("cls, name, label, value", CASES,
                          ids=[f"{c.__name__}.{n}={v!r}" for c, n, _, v in CASES])
 def test_wrong_typed_value_is_rejected_naming_the_field(cls, name, label, value):
-    with pytest.raises(ConfigurationError) as err:
+    with pytest.raises(FieldError) as err:
         cls(**{**CONFIGS[cls], name: value})
     message = str(err.value)
     assert re.fullmatch(rf"{re.escape(label)}(: expected .+| must be finite), got .+", message), \

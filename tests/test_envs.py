@@ -188,11 +188,11 @@ def test_env_subclass_gets_parent_expert():
 
 
 def test_make_env_names_unknown_and_non_numeric_params():
-    with pytest.raises(ConfigurationError, match="unknown pusher parameter 'speed'"):
+    with pytest.raises(ConfigurationError, match="^unknown config key env.speed$"):
         make_env("pusher", speed=1.0)
-    with pytest.raises(ConfigurationError, match="dt: expected a number, got 'fast'"):
+    with pytest.raises(ConfigurationError, match="^env.dt: expected a number, got 'fast'$"):
         make_env("pendulum", dt="fast")
-    with pytest.raises(ConfigurationError, match="t_max: expected an integer, got True"):
+    with pytest.raises(ConfigurationError, match="^env.t_max: expected an integer, got True$"):
         make_env("double_integrator", t_max=True)
     assert make_env("pendulum", dt=np.float64(0.01), t_max=np.int64(5)).t_max == 5
 

@@ -10,7 +10,7 @@ import pytest
 
 import crsail.harness
 from crsail.cli import OUTPUT_ROOT_ENV, main
-from crsail.envs import KINDS, PendulumParams
+from crsail.envs import KINDS, PendulumParams, make_env
 from crsail.exceptions import ConfigurationError, InsufficientDataError
 from crsail.harness import (
     ExperimentConfig,
@@ -174,6 +174,7 @@ def test_valid_strategy_and_train_values_load_as_written(config_path):
 @pytest.mark.parametrize("override, message", [
     ("experiment.env=foo", "unknown environment kind: 'foo'"),
     ("env.bogus=1", "unknown config key env.bogus"),
+    ("env.kind=pusher", "unknown config key env.kind"),
     ("env.dt=-1", "env.dt must be > 0, got -1"),
     ("env.dt=fast", "env.dt: expected a number, got 'fast'"),
     ("env.t_max=1.5", "env.t_max: expected an integer, got 1.5"),
@@ -194,6 +195,22 @@ def test_cli_run_rejects_bad_env_and_typed_values_before_any_run(config_path, ca
     assert captured.err.startswith("crsail run: ")
     config = ExperimentConfig.from_file(config_path)
     assert not os.path.exists(config.output_dir)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("speed", 1.0, "unknown config key env.speed"),
+    ("dt", "fast", "env.dt: expected a number, got 'fast'"),
+])
+def test_make_env_config_and_cli_name_a_bad_env_param_alike(config_path, capsys, key, value,
+                                                            message):
+    with pytest.raises(ConfigurationError) as err:
+        make_env("pendulum", **{key: value})
+    assert str(err.value) == message
+    with pytest.raises(ConfigurationError) as err:
+        ExperimentConfig(env="pendulum", strategy="dagger", env_overrides={key: value})
+    assert str(err.value) == message
+    assert main(["run", config_path, "--set", f"env.{key}={value}"]) == 2
+    assert capsys.readouterr().err == f"crsail run: {message}\n"
 
 
 @pytest.mark.parametrize("override, message", [
@@ -218,19 +235,38 @@ def test_strategy_k_checked_at_load(config_path):
                 config_path, overrides=[f"experiment.strategy={strategy}", "strategy.k=0"])
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("ran past the K check")
+
+
 @pytest.mark.parametrize("strategy", ["crsail", "fixed-threshold"])
 def test_k_beyond_the_initial_dataset_fails_before_cloning(config_path, monkeypatch, strategy):
     # M=3 collects one whole 200-step pendulum episode, fewer pairs than K=500
-    def never(*args, **kwargs):
-        raise AssertionError("ran past the K check")
-
     for name in ("evaluate_policy", "behavioral_cloning", "calibrate_radius"):
-        monkeypatch.setattr(crsail.harness, name, never)
+        monkeypatch.setattr(crsail.harness, name, _never)
     config = ExperimentConfig.from_file(config_path, overrides=[
         f"experiment.strategy={strategy}", "strategy.k=500", "experiment.m_values=3"])
     with pytest.raises(InsufficientDataError,
                        match=r"^strategy.k=500 exceeds the 200 pairs of the initial dataset"):
         run_single(config, 3, 0)
+
+
+@pytest.mark.parametrize("command, subdir, label", [
+    (["run", "--set", "strategy.k=500"], [], ""),
+    (["sweep", "--K", "500"], ["k_500"], "[k=500] "),
+])
+def test_cli_reports_a_failed_run_and_exits_1(config_path, capsys, monkeypatch, command, subdir,
+                                              label):
+    monkeypatch.setattr(crsail.harness, "evaluate_policy", _never)
+    argv = [command[0], config_path, *command[1:], "--set", "experiment.strategy=crsail",
+            "--set", "experiment.m_values=3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    outdir = os.path.join(ExperimentConfig.from_file(config_path).output_dir, *subdir)
+    assert captured.out == f"completed 0 run(s) -> {outdir}\n"
+    assert captured.err.startswith(f"FAILED {label}M=3 seed=0: strategy.k=500 exceeds the 200 "
+                                   "pairs of the initial dataset (M=3)\nTraceback")
+    assert captured.err.count("FAILED") == 1
 
 
 @pytest.mark.parametrize("override", ["experiment.eval_episodes=0", "conformal.m_cal=0"])
