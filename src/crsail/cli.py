@@ -54,12 +54,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    axes = [("alpha", args.alpha), ("k", args.K)]
-    chosen = [(name, vals) for name, vals in axes if vals]
-    if len(chosen) != 1:
-        print("sweep requires exactly one of --alpha/--K", file=sys.stderr)
-        return 2
-    name, raw = chosen[0]
+    name, raw = ("alpha", args.alpha) if args.alpha is not None else ("k", args.K)
     if name not in READS[config.strategy]:
         raise ConfigurationError(f"axis {name}: strategy {config.strategy} does not read {name}")
     given = [tok.strip() for tok in raw.split(",") if tok.strip()]
@@ -127,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one hyperparameter axis")
     add_config_args(p_sweep)
-    p_sweep.add_argument("--alpha", help="comma-separated miscoverage values")
-    p_sweep.add_argument("--K", help="comma-separated neighbor orders")
+    axis = p_sweep.add_mutually_exclusive_group(required=True)
+    axis.add_argument("--alpha", help="comma-separated miscoverage values")
+    axis.add_argument("--K", help="comma-separated neighbor orders")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_sum = sub.add_parser("summarize", help="summarize run records in a directory")

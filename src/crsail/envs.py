@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crsail.exceptions import ConfigurationError, bounded, build_section, check_fields
+from crsail.exceptions import (ConfigurationError, bounded, build_section, check_fields,
+                               check_value)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -281,9 +282,8 @@ KINDS = {"pendulum": Pendulum, "pusher": Pusher, "double_integrator": DoubleInte
 
 def make_env(kind: str, /, **params) -> Env:
     """The `kind` environment, its params built as a config's [env] section is:
-    a bad key or value is named `env.key`."""
-    if kind not in KINDS:
-        raise ConfigurationError(f"unknown environment kind: {kind!r}")
+    a bad key or value is named `env.key`, a bad kind `experiment.env`."""
+    check_value("experiment.env", "str", kind, {"one_of": KINDS})
     return KINDS[kind](build_section("env", KINDS[kind].Params, params))
 
 

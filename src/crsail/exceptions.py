@@ -41,14 +41,16 @@ class InvariantError(RuntimeError):
     """Internal bookkeeping disagrees with itself; this is a bug, not bad input."""
 
 
-# bound keyword -> (the test a value must pass, its sign in a message)
+# bound keyword -> (the test a value must pass, its words in a message)
 _BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
-           "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
+           "lt": (operator.lt, "<"), "le": (operator.le, "<="),
+           "one_of": (lambda value, choices: value in choices, "one of")}
 
 
 def bounded(*, metadata=None, **kwargs):
     """A dataclass field whose values (a list's items) must meet the bound given as
-    keywords `gt`, `ge`, `lt`, `le`; the other keywords go to `dataclasses.field`."""
+    keywords `gt`, `ge`, `lt`, `le`, or be one of the names `one_of` holds; the
+    other keywords go to `dataclasses.field`."""
     bound = {op: kwargs.pop(op) for op in _BOUNDS if op in kwargs}
     return field(metadata={**(metadata or {}), "bound": bound}, **kwargs)
 
@@ -58,6 +60,7 @@ FIELD_TYPES = {
     "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
     "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
     "list[int]": (lambda v: isinstance(v, list) and all(map(FIELD_TYPES["int"][0], v)),
                   "integers"),
     "dict": (lambda v: isinstance(v, dict) and all(isinstance(k, str) for k in v),
@@ -68,17 +71,17 @@ FIELD_TYPES = {
 def _bound_text(bound: dict) -> str:
     if len(bound) == 1:
         (op, limit), = bound.items()
-        return f"be {_BOUNDS[op][1]} {limit}"
+        return f"be {_BOUNDS[op][1]} {', '.join(limit) if op == 'one_of' else limit}"
     low, high = bound.get("gt", bound.get("ge")), bound.get("lt", bound.get("le"))
     return f"lie in {'(' if 'gt' in bound else '['}{low}, {high}{')' if 'lt' in bound else ']'}"
 
 
 def check_value(name: str, kind: str, value, bound=None) -> None:
-    """Check `value` against field type `kind` (a `| None` type also takes None, numpy
-    numbers count, a type not in FIELD_TYPES is not checked), then a float's finiteness
-    (a NaN passes every comparison), then `bound`; raise a FieldError naming `name`."""
+    """Check `value` against field type `kind`, a key of FIELD_TYPES (a `| None` type
+    also takes None, numpy numbers count), then a float's finiteness (a NaN passes
+    every comparison), then `bound`; raise a FieldError naming `name`."""
     plain = kind.removesuffix(" | None")
-    if plain not in FIELD_TYPES or (value is None and plain != kind):
+    if value is None and plain != kind:
         return
     accepts, expected = FIELD_TYPES[plain]
     if not accepts(value):

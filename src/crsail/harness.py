@@ -4,8 +4,9 @@ Config files are flat INI-style key=value text with one section per module.
 The sections, keys and defaults are the dataclass fields: `ExperimentConfig`
 for [experiment], [conformal] and [budget]; `StrategyConfig` (all but `kind`)
 for [strategy]; `TrainConfig` for [train]; the env kind's params for [env],
-which `make_env` builds. Each value is read by its field's type and judged
-by the field's own check; a bad value or unknown key is named `section.key`.
+which `make_env` builds. A key of a dict field's section is read as
+`_convert` reads it, any other key by its field's type; the field's own
+check judges each, and a bad value or unknown key is named `section.key`.
 Every section is stored resolved against its defaults, and every run embeds
 that config snapshot, so any output is reproducible from its own header.
 """
@@ -25,9 +26,9 @@ import numpy as np
 
 from crsail.conformal import calibrate_radius
 from crsail.core import evaluate_policy
-from crsail.envs import KINDS, EnvParams, make_env, make_expert
+from crsail.envs import KINDS, make_env, make_expert
 from crsail.exceptions import (ConfigurationError, InsufficientDataError, bounded, build_section,
-                               check_fields)
+                               check_fields, check_value)
 from crsail.policy import TrainConfig, behavioral_cloning
 from crsail.strategies import READS, StrategyConfig
 from crsail.trainer import Budget, RunRecord, build_initial_dataset, train, write_csv
@@ -93,8 +94,8 @@ class ExperimentConfig:
     each dict field holds a whole section. Every section is resolved: the dict
     fields hold each key of their config class, the defaults filled in."""
 
-    env: str = _section("experiment", default="")
-    strategy: str = _section("experiment", default="")
+    env: str = _section("experiment", default="", one_of=KINDS)
+    strategy: str = _section("experiment", default="", one_of=READS)
     seeds: list[int] = _section("experiment", default_factory=lambda: [0, 1, 2, 3, 4], ge=0)
     m_values: list[int] = _section("experiment",
                                    default_factory=lambda: [250, 500, 1000, 2000], ge=1)
@@ -109,10 +110,6 @@ class ExperimentConfig:
     max_queries: int | None = _section("budget", default=None)
 
     def __post_init__(self):
-        if not self.env:
-            raise ConfigurationError("config must set experiment.env")
-        if not self.strategy:
-            raise ConfigurationError("config must set experiment.strategy")
         check_fields(self)
         for name in ("seeds", "m_values"):  # the grid's axes
             check_axis(name, getattr(self, name))
@@ -138,24 +135,18 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown config section [{parser.default_section}]")
         kwargs: dict = {}
         layout = cls._layout()
-        env = parser.get("experiment", "env", fallback="").strip()  # [env] holds its params
-        typed = {"env": KINDS[env].Params if env in KINDS else EnvParams,
-                 "strategy": StrategyConfig, "train": TrainConfig}
         for section in parser.sections():
             if section not in layout:
                 raise ConfigurationError(f"unknown config section [{section}]")
-            holder = layout[section][0]
-            if holder.type == "dict":  # the field holds the whole section
-                types = {f.name: f.type for f in fields(typed[section])}
-                values = kwargs.setdefault(holder.name, {})
-            else:
-                types, values = {f.name: f.type for f in layout[section]}, kwargs
+            holder, types = layout[section][0], {f.name: f.type for f in layout[section]}
             for key, val in parser.items(section):
-                if holder.type == "dict" and val.strip() == "":
-                    continue  # an empty value keeps the default
-                if key not in types and holder.type != "dict":  # `parts` rejects the rest
+                if holder.type == "dict":  # the field holds the whole section; `parts` judges it
+                    if val.strip() != "":  # an empty value keeps the default
+                        kwargs.setdefault(holder.name, {})[key] = _convert(val)
+                elif key in types:
+                    kwargs[key] = parse_value(types[key], val)
+                else:
                     raise ConfigurationError(f"unknown config key {section}.{key}")
-                values[key] = parse_value(types.get(key, ""), val)
         return cls(**kwargs)
 
     @classmethod
@@ -284,7 +275,9 @@ def load_records(directory) -> list[RunRecord]:
     each subdirectory (a sweep writes one per value), each level in name order.
 
     A missing directory is a ConfigurationError. A `.json` file that holds no
-    valid record is skipped with a warning naming the file and the cause.
+    valid record, or one whose `config.strategy` is not a string or whose
+    `config.m` is not an integer (the keys a summary groups by), is skipped
+    with a warning naming the file and the cause.
     """
     if not os.path.isdir(directory):
         problem = "is not a directory" if os.path.exists(directory) else "does not exist"
@@ -295,7 +288,10 @@ def load_records(directory) -> list[RunRecord]:
     records = []
     for path in paths:
         try:
-            records.append(RunRecord.load_json(path))
+            record = RunRecord.load_json(path)
+            check_value("config.strategy", "str", record.config.get("strategy"))
+            check_value("config.m", "int", record.config.get("m"))
+            records.append(record)
         except (OSError, ValueError, TypeError, KeyError) as exc:
             warnings.warn(f"skipped {path}: {type(exc).__name__}: {exc}", stacklevel=2)
     return records

@@ -30,17 +30,19 @@ def score_batch(states, dataset: ExpertDataset, config: StrategyConfig) -> np.nd
 
     `states` is one state per row, each as wide as the dataset's states (a
     flat array is one state; the dataset's standardizer rejects any other
-    shape). An empty batch gives an empty result. The dataset's points are
-    projected afresh on every call, so the scores always reflect its current
-    contents.
+    shape). An empty batch, `[]` or no rows, gives an empty result. The
+    dataset's points are projected afresh on every call, so the scores always
+    reflect its current contents.
     """
     states = np.asarray(states, dtype=np.float64)
-    if states.size == 0:
+    if states.shape == (0,):  # `[]`: no rows, of any width
+        states = states.reshape(0, dataset.state_dim)
+    q = np.atleast_2d(dataset.standardizer.transform(states))
+    if not len(q):
         return np.zeros(0)
     k = config.k
     if k > len(dataset):
         raise InsufficientDataError(f"K={k} exceeds dataset size {len(dataset)}")
-    q = np.atleast_2d(dataset.standardizer.transform(states))
     points = dataset.standardizer.transform(dataset.states)
     if config.backend == "kdtree":
         from scipy.spatial import cKDTree

@@ -46,21 +46,18 @@ class QuerySet:
 
 @dataclass
 class StrategyConfig:
-    kind: str
+    kind: str = bounded(one_of=READS)
     alpha: float = bounded(default=0.93, gt=0, lt=1)  # the nominal query rate crsail calibrates at
     k: int = bounded(default=5, ge=1)
     rate: float = bounded(default=0.5, ge=0, le=1)  # random-rate inclusion probability
     tau: float = bounded(default=0.1, ge=0)  # fixed-threshold novelty cutoff
     tau_doubt: float = bounded(default=0.01, ge=0)
     ensemble_size: int = bounded(default=5, ge=2)
-    backend: str = "brute"  # K-NN backend: "brute" or "kdtree" (needs scipy), bit-equal
+    # the K-NN backend; the two are bit-equal, and the KD-tree needs scipy
+    backend: str = bounded(default="brute", one_of=("brute", "kdtree"))
 
     def __post_init__(self):
-        if self.kind not in READS:
-            raise ConfigurationError(f"unknown strategy kind {self.kind!r}")
         check_fields(self)
-        if self.backend not in ("brute", "kdtree"):
-            raise ConfigurationError(f"unknown backend {self.backend!r}")
         # Looked up, not imported: scipy loads only when the KD-tree is first used.
         if self.backend == "kdtree" and importlib.util.find_spec("scipy") is None:
             raise ConfigurationError("backend 'kdtree' needs scipy, which is not installed "

@@ -194,8 +194,7 @@ def train(env, expert, dataset: ExpertDataset, policy: MLPPolicy,
     strat_rng = np.random.default_rng(strat_ss)
     radius = threshold.radius if threshold is not None else None
 
-    dataset = dataset.copy()
-    policy = policy.copy()
+    dataset = dataset.copy()  # the policy needs no copy: `update` returns a new one
     initial_size = len(dataset)
     record = RunRecord(
         config=run_config or {},

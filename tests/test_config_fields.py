@@ -1,11 +1,12 @@
 """The one field check: every field of every config dataclass, walked.
 
-Each int, float, bool, list and dict field must reject a wrong-typed value on
-direct construction, with a message that names the field (`section.key` for
-an `ExperimentConfig` field); a field added later is covered here without a
-new test.
+Each int, float, bool, str, list and dict field must reject a wrong-typed
+value on direct construction, with a message that names the field
+(`section.key` for an `ExperimentConfig` field); a field added later is
+covered here without a new test.
 """
 
+import configparser
 import dataclasses
 import math
 import re
@@ -31,17 +32,14 @@ CONFIGS = {
     ExperimentConfig: {"env": "pendulum", "strategy": "crsail"},
 }
 
-# field types the field check leaves to their owners: a str is checked where
-# it is read
-UNCHECKED = {"str"}
-
-
 def _wrong_values(kind: str) -> list:
     """Values of the wrong type for a field of type `kind` (without `| None`)."""
     if kind == "list[int]":
         return ["x", 3, [1, "x"], [True], [2.5], (1, 2)]
     if kind == "dict":
         return ["x", None, [("k", 3)], 3, {1: 2}]
+    if kind == "str":
+        return [3, None, True, ["pendulum"]]
     wrong = {"int": [True, 2.5, math.nan], "float": [True, math.nan, math.inf, -math.inf],
              "bool": [1, 0.0, None]}[kind]
     return ["x", *wrong]
@@ -53,14 +51,13 @@ def _label(f) -> str:
 
 
 CASES = [(cls, f.name, _label(f), value) for cls in CONFIGS for f in dataclasses.fields(cls)
-         if f.type not in UNCHECKED
          for value in _wrong_values(f.type.removesuffix(" | None"))]
 
 
-def test_every_field_type_is_checked_or_left_to_its_owner():
+def test_every_field_type_is_checked():
     for cls in CONFIGS:
         for f in dataclasses.fields(cls):
-            assert f.type.removesuffix(" | None") in FIELD_TYPES or f.type in UNCHECKED, \
+            assert f.type.removesuffix(" | None") in FIELD_TYPES, \
                 f"{cls.__name__}.{f.name}: {f.type}"
 
 
@@ -116,12 +113,19 @@ def test_env_params_keep_the_bounds_of_the_fields_they_redeclare(cls):
      "env.env_overrides: expected a dict of section keys, got None"),
     (lambda: ExperimentConfig(env="pendulum", strategy="crsail", strategy_params=[("k", 3)]),
      "strategy.strategy_params: expected a dict of section keys, got [('k', 3)]"),
+    (lambda: ExperimentConfig(env=["pendulum"], strategy="dagger"),
+     "experiment.env: expected a string, got ['pendulum']"),
+    (lambda: ExperimentConfig(env="pendulum", strategy="dagger", output_dir=3),
+     "experiment.output_dir: expected a string, got 3"),
+    (lambda: ExperimentConfig(env="pendulum", strategy="crsail", strategy_params={"backend": 1}),
+     "strategy.backend: expected a string, got 1"),
     (lambda: StrategyConfig(kind="crsail", k=2.5), "k: expected an integer, got 2.5"),
     (lambda: TrainConfig(bc_epochs=1.5), "bc_epochs: expected an integer, got 1.5"),
     (lambda: Budget(max_steps=2.5), "max_steps: expected an integer, got 2.5"),
 ], ids=["strategy-k-bool", "strategy-k-float", "eval_episodes-float", "m_cal-float",
         "train-batch_size-float", "env-t_max-float", "budget-max_queries-float",
-        "env_overrides-none", "strategy_params-pairs",
+        "env_overrides-none", "strategy_params-pairs", "env-list", "output_dir-int",
+        "backend-int",
         "StrategyConfig-k-float", "TrainConfig-bc_epochs-float",
         "Budget-max_steps-float"])
 def test_direct_construction_rejects_wrong_types(build, message):
@@ -149,3 +153,34 @@ def test_direct_construction_names_each_field_out_of_its_bound(build, message):
         build()
     assert str(err.value) == message
     PendulumParams(theta_fail=math.pi)  # the closed end of a bound is in it
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("experiment", "env", "foo",
+     "experiment.env must be one of pendulum, pusher, double_integrator, got 'foo'"),
+    ("experiment", "strategy", "nope", "experiment.strategy must be one of crsail, dagger, "
+     "random-rate, fixed-threshold, ensemble-variance, got 'nope'"),
+    ("strategy", "backend", "ball", "strategy.backend must be one of brute, kdtree, got 'ball'"),
+], ids=["env", "strategy", "backend"])
+def test_a_bad_choice_gives_one_message_by_file_override_and_construction(tmp_path, section, key,
+                                                                          value, message):
+    valid = {"env": "pendulum", "strategy": "crsail"}
+
+    def ini(name, *layers):
+        parser = configparser.ConfigParser()
+        for sections in layers:
+            parser.read_dict(sections)
+        with open(tmp_path / name, "w") as fh:
+            parser.write(fh)
+        return tmp_path / name
+
+    bad = ini("bad.ini", {"experiment": valid}, {section: {key: value}})
+    good = ini("good.ini", {"experiment": valid})
+    direct = ({**valid, key: value} if section == "experiment"
+              else {**valid, "strategy_params": {key: value}})
+    for build in (lambda: ExperimentConfig.from_file(bad),
+                  lambda: ExperimentConfig.from_file(good, [f"{section}.{key}={value}"]),
+                  lambda: ExperimentConfig(**direct)):
+        with pytest.raises(FieldError) as err:
+            build()
+        assert str(err.value) == message

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +154,7 @@ def test_config_file_is_read_as_utf8(config_path, capsys):
     ("train.retrain_from_scratch=maybe",
      "train.retrain_from_scratch: expected true or false, got 'maybe'"),
     ("train.bc_epochs=2.5", "train.bc_epochs: expected an integer, got 2.5"),
+    ("strategy.backend=1", "strategy.backend: expected a string, got 1"),
 ])
 def test_non_integer_value_names_section_and_key(config_path, override, message):
     with pytest.raises(ConfigurationError) as err:
@@ -163,7 +165,9 @@ def test_non_integer_value_names_section_and_key(config_path, override, message)
 def test_valid_strategy_and_train_values_load_as_written(config_path):
     config = ExperimentConfig.from_file(config_path, overrides=[
         "strategy.tau=1", "strategy.rate=0.25", "strategy.backend=kdtree",
-        "train.retrain_from_scratch=True", "train.learning_rate=1e-3"])
+        "train.retrain_from_scratch=True", "train.learning_rate=1e-3",
+        "experiment.output_dir=2024"])
+    assert config.output_dir == "2024"  # a string field's text stays a string
     assert config.strategy_params["tau"] == 1 and type(config.strategy_params["tau"]) is int
     assert config.strategy_params["rate"] == 0.25
     assert config.strategy_params["backend"] == "kdtree"
@@ -172,7 +176,8 @@ def test_valid_strategy_and_train_values_load_as_written(config_path):
 
 
 @pytest.mark.parametrize("override, message", [
-    ("experiment.env=foo", "unknown environment kind: 'foo'"),
+    ("experiment.env=foo",
+     "experiment.env must be one of pendulum, pusher, double_integrator, got 'foo'"),
     ("env.bogus=1", "unknown config key env.bogus"),
     ("env.kind=pusher", "unknown config key env.kind"),
     ("env.dt=-1", "env.dt must be > 0, got -1"),
@@ -284,7 +289,7 @@ def test_episode_counts_checked_at_load(config_path, override):
     ("experiment.m_values=100,50,100", "m_values lists 100 more than once"),
     ("strategy.alpha=1.5", "strategy.alpha must lie in (0, 1), got 1.5"),
     ("strategy.alpha=0", "strategy.alpha must lie in (0, 1), got 0"),
-    ("strategy.backend=bogus", "unknown backend 'bogus'"),
+    ("strategy.backend=bogus", "strategy.backend must be one of brute, kdtree, got 'bogus'"),
     ("strategy.tau_doubt=-1", "strategy.tau_doubt must be >= 0, got -1"),
     ("budget.max_steps=0", "budget.max_steps must be >= 1, got 0"),
     ("budget.max_steps=-5", "budget.max_steps must be >= 1, got -5"),
@@ -438,12 +443,18 @@ def test_cli_run_summarize_plotdata(config_path, capsys):
     assert os.path.isdir(os.path.join(outdir, "plotdata"))
 
 
-def test_cli_sweep_requires_one_axis(config_path, capsys):
-    assert main(["sweep", config_path]) == 2
-    assert main(["sweep", config_path, "--alpha", "0.5", "--K", "3"]) == 2
-    with pytest.raises(SystemExit) as exc:  # M is the grid's m_values axis, not a sweep's
-        main(["sweep", config_path, "--M", "50"])
+@pytest.mark.parametrize("axes, message", [
+    ([], "one of the arguments --alpha --K is required"),
+    (["--alpha", "0.5", "--K", "3"], "argument --K: not allowed with argument --alpha"),
+    (["--K", "3", "--M", "50"], "unrecognized arguments: --M 50"),  # M is the grid's axis
+], ids=["neither", "both", "M"])
+def test_cli_sweep_requires_one_axis(config_path, capsys, axes, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", config_path, *axes])
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f"error: {message}\n")
+    assert not os.path.exists(ExperimentConfig.from_file(config_path).output_dir)
 
 
 def test_cli_sweep_runs_each_value_into_its_subdirectory(config_path, capsys):
@@ -771,3 +782,24 @@ def test_record_without_summary_or_dict_config_is_skipped(config_path, capsys, e
                         r"(stored summary does not match the episode series"
                         r"|config must be a dict, got (NoneType|list))\n", captured.err)
     assert re.search(r"^dagger +100 +1 ", captured.out, re.M)  # the one good record
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("m", "200", "an integer"),
+    ("strategy", 3, "a string"),
+    ("strategy", ["crsail"], "a string"),
+], ids=["m-str", "strategy-int", "strategy-list"])
+def test_record_with_a_bad_group_key_is_skipped(tmp_path, capsys, key, value, expected):
+    # summaries group and sort the records by (config.strategy, config.m)
+    golden = json.loads((Path(__file__).parent / "goldens" / "records.json").read_text())
+    record = golden["pendulum-crsail"]["record"]
+    for episode in record["episodes"]:
+        episode["wall_time"] = 0.0
+    (tmp_path / "crsail_M200_seed0.json").write_text(json.dumps(record))
+    bad = tmp_path / "crsail_M200_seed1.json"
+    bad.write_text(json.dumps({**record, "config": {**record["config"], key: value}}))
+    assert main(["summarize", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (f"crsail summarize: skipped {bad}: FieldError: config.{key}: "
+                            f"expected {expected}, got {value!r}\n")
+    assert re.search(r"^crsail +200 +1 ", captured.out, re.M)

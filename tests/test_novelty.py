@@ -66,9 +66,11 @@ def test_insufficient_data_raises():
 @pytest.mark.parametrize("backend", ["brute", "kdtree"])
 def test_states_of_another_width_rejected(backend):
     # Without the check the scan read the first column of a 2-wide state, and
-    # took a flat pair of 1-d states for one state.
+    # took a flat pair of 1-d states for one state; a batch with no columns or
+    # no rows was once taken for an empty batch whatever its width.
     ds = dataset_1d([0.0, 1.0, 3.0])
-    for states in ([[2.0, 100.0]], np.array([2.0, 3.0]), np.zeros((2, 1, 1))):
+    for states in ([[2.0, 100.0]], np.array([2.0, 3.0]), np.zeros((2, 1, 1)), np.zeros((3, 0)),
+                   np.zeros((0, 7)), np.zeros((0, 1, 1))):
         with pytest.raises(ConfigurationError) as err:
             score_batch(states, ds, knn(1, backend))
         assert str(err.value) == (f"states have shape {np.shape(states)}, but the standardizer "
@@ -76,10 +78,13 @@ def test_states_of_another_width_rejected(backend):
     assert score_batch(np.array([2.0]), ds, knn(1, backend))[0] == 1.0  # one flat state
 
 
-def test_batch_empty_and_singleton():
+@pytest.mark.parametrize("backend", ["brute", "kdtree"])
+def test_batch_empty_and_singleton(backend):
     ds = dataset_1d([0.0, 1.0, 3.0])
-    cfg = knn(2)
-    assert len(score_batch([], ds, cfg)) == 0
+    cfg = knn(2, backend)
+    for empty in ([], np.zeros((0, 1))):
+        assert score_batch(empty, ds, cfg).shape == (0,)
+        assert score_batch(empty, ds, knn(4, backend)).shape == (0,)  # no K to check
     single = score_batch(np.array([[2.0]]), ds, cfg)
     assert single.shape == (1,) and single[0] == 1.0
 
